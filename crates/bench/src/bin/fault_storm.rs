@@ -22,10 +22,8 @@
 //! retry+re-shard must complete everything bit-exactly, no-retry must
 //! demonstrably lose work, and the fault log must be deterministic.
 
-use scalfrag_cluster::execute_cluster_resilient;
-use scalfrag_cluster::{
-    execute_cluster, ClusterOptions, ExecMode, FaultRecoveryPolicy, NodeSpec, ResilientClusterRun,
-};
+use scalfrag_cluster::{build_cluster_plan, ClusterOptions, FaultRecoveryPolicy, NodeSpec};
+use scalfrag_exec::{run_plan, run_plan_resilient, ExecMode, ExecOutcome};
 use scalfrag_faults::{mat_checksum, FaultInjector, FaultKind, FaultPlan, FaultTrigger};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::FactorSet;
@@ -62,7 +60,7 @@ fn smoke_plan() -> FaultPlan {
 
 struct PolicyRow {
     name: &'static str,
-    run: ResilientClusterRun,
+    run: ExecOutcome,
     log_fingerprint: u64,
 }
 
@@ -72,20 +70,12 @@ fn run_policies(tensor: &CooTensor, factors: &FactorSet, plan: &FaultPlan) -> Ve
         ("retry", FaultRecoveryPolicy::retry()),
         ("retry+re-shard", FaultRecoveryPolicy::retry_reshard()),
     ];
+    let cluster_plan = build_cluster_plan(&node(), tensor, factors, 0, &opts());
     policies
         .into_iter()
         .map(|(name, policy)| {
             let mut inj = FaultInjector::new(plan.clone());
-            let run = execute_cluster_resilient(
-                &node(),
-                tensor,
-                factors,
-                0,
-                &opts(),
-                &mut inj,
-                &policy,
-                ExecMode::Functional,
-            );
+            let run = run_plan_resilient(&cluster_plan, &mut inj, &policy, ExecMode::Functional);
             PolicyRow { name, run, log_fingerprint: inj.log().fingerprint() }
         })
         .collect()
@@ -101,7 +91,7 @@ fn print_table(rows: &[PolicyRow], clean_sum: u64) {
             "  {:<16} {:>6} {:>6} {:>9} {:>8} {:>6} {:>9.3}ms {:>4}",
             r.name,
             r.run.completed_segments,
-            r.run.failed_segments,
+            r.run.failed_segments(),
             r.run.replaced_segments,
             r.run.retries,
             r.run.dead_devices.len(),
@@ -117,14 +107,14 @@ fn smoke(tensor: &CooTensor, factors: &FactorSet, clean_sum: u64) {
 
     let no_retry = &rows[0];
     assert!(
-        no_retry.run.failed_segments > 0,
+        no_retry.run.failed_segments() > 0,
         "smoke: the no-retry baseline must demonstrably lose work"
     );
     let reshard = &rows[2];
     assert!(
         reshard.run.all_complete(),
         "smoke: retry+re-shard must complete every segment ({} lost)",
-        reshard.run.failed_segments
+        reshard.run.failed_segments()
     );
     assert_eq!(
         mat_checksum(&reshard.run.output),
@@ -189,7 +179,8 @@ fn serve_demo() {
 fn main() {
     let smoke_mode = std::env::args().any(|a| a == "--smoke");
     let (tensor, factors) = workload();
-    let clean = execute_cluster(&node(), &tensor, &factors, 0, &opts(), ExecMode::Functional);
+    let clean =
+        run_plan(&build_cluster_plan(&node(), &tensor, &factors, 0, &opts()), ExecMode::Functional);
     let clean_sum = mat_checksum(&clean.output);
     println!(
         "ScalFrag fault storm: {} nnz, rank {RANK}, {DEVICES}x {} | fault-free makespan {:.3}ms, checksum {clean_sum:#018x}\n",

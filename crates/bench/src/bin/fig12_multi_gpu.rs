@@ -53,14 +53,14 @@ fn main() {
         for (i, (n, ctx)) in ctxs.iter().enumerate() {
             let r = ctx.mttkrp_dry(tensor, &factors, 0);
             if *n == 1 {
-                base = r.total_s;
-                row.push(fmt_time(r.total_s));
+                base = r.timing.total_s;
+                row.push(fmt_time(r.timing.total_s));
             } else {
-                let speedup = base / r.total_s;
+                let speedup = base / r.timing.total_s;
                 all_speedups.push((*n, speedup));
-                row.push(format!("{} ({speedup:.2}x)", fmt_time(r.total_s)));
+                row.push(format!("{} ({speedup:.2}x)", fmt_time(r.timing.total_s)));
             }
-            series[i].1.push(r.total_s * 1e3);
+            series[i].1.push(r.timing.total_s * 1e3);
         }
         cats.push(name.clone());
         rows.push(row);
@@ -104,15 +104,15 @@ fn main() {
         let factors = FactorSet::random(tensor.dims(), 64, 0xFAC70);
         let rr = rr_ctx.mttkrp_dry(tensor, &factors, 0);
         let lpt = lpt_ctx.mttkrp_dry(tensor, &factors, 0);
-        let gain = rr.total_s / lpt.total_s;
-        if lpt.total_s < rr.total_s {
+        let gain = rr.timing.total_s / lpt.timing.total_s;
+        if lpt.timing.total_s < rr.timing.total_s {
             lpt_wins += 1;
         }
-        let lpt_3090_shards = lpt.assignments[0].len();
+        let lpt_3090_shards = lpt.devices[0].shards.len();
         rows.push(vec![
             name.clone(),
-            fmt_time(rr.total_s),
-            fmt_time(lpt.total_s),
+            fmt_time(rr.timing.total_s),
+            fmt_time(lpt.timing.total_s),
             format!("{gain:.2}x"),
             format!("{}/{}", lpt_3090_shards, SHARDS),
         ]);
@@ -145,9 +145,7 @@ fn main() {
                 .shard_policy(policy)
                 .build();
             let r = ctx.mttkrp_dry(tensor, &factors, 0);
-            let h2d: f64 = r.per_device.iter().map(|p| p.h2d_s).sum();
-            let kernel: f64 = r.per_device.iter().map(|p| p.kernel_s).sum();
-            let d2h: f64 = r.per_device.iter().map(|p| p.d2h_s).sum();
+            let (h2d, kernel, d2h) = (r.timing.h2d_s, r.timing.kernel_s, r.timing.d2h_s);
             rows.push(vec![
                 ic_name.to_string(),
                 format!("{policy:?}"),
@@ -155,7 +153,7 @@ fn main() {
                 fmt_time(kernel),
                 fmt_time(d2h),
                 fmt_time(r.reduction_s),
-                fmt_time(r.total_s),
+                fmt_time(r.timing.total_s),
             ]);
         }
     }

@@ -219,7 +219,7 @@ pub fn path_backends() -> Vec<Backend> {
             let run =
                 ctx.mttkrp_resilient(t, f, mode, &mut inj, &FaultRecoveryPolicy::retry_reshard());
             assert_eq!(run.failed_segments, 0, "recoverable plan must fully recover");
-            run.report.output
+            run.output
         }),
     ]
 }

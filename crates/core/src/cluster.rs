@@ -1,17 +1,15 @@
 //! The multi-GPU ScalFrag facade: the [`ScalFrag`](crate::ScalFrag)
 //! builder pattern lifted onto a [`NodeSpec`] of simulated devices.
 
-use crate::report::PhaseTiming;
+use crate::report::MttkrpReport;
 use scalfrag_autotune::TrainedPredictor;
 use scalfrag_cluster::{
-    execute_cluster, execute_cluster_resilient, ClusterOptions, ClusterRun, DeviceScheduler,
-    ExecMode, FaultRecoveryPolicy, NodeSpec, ResilientClusterRun, ShardPolicy,
+    build_cluster_plan, ClusterOptions, DeviceScheduler, FaultRecoveryPolicy, NodeSpec, ShardPolicy,
 };
+use scalfrag_exec::{run_plan, run_plan_resilient, ExecMode, KernelChoice, Plan};
 use scalfrag_faults::FaultInjector;
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
-use scalfrag_kernels::FactorSet;
-use scalfrag_linalg::Mat;
-use scalfrag_pipeline::KernelChoice;
+use scalfrag_kernels::{FactorSet, SegmentStats};
 use scalfrag_tensor::{CooTensor, TensorFeatures};
 
 /// Feature toggles of the cluster stack — the multi-GPU ablation surface.
@@ -216,29 +214,22 @@ impl ClusterScalFrag {
     }
 
     /// Runs one end-to-end multi-device MTTKRP (functional).
-    pub fn mttkrp(
-        &self,
-        tensor: &CooTensor,
-        factors: &FactorSet,
-        mode: usize,
-    ) -> ClusterMttkrpReport {
-        self.run(tensor, factors, mode, true)
+    pub fn mttkrp(&self, tensor: &CooTensor, factors: &FactorSet, mode: usize) -> MttkrpReport {
+        let (plan, flops) = self.plan(tensor, factors, mode);
+        MttkrpReport::new("cluster", &plan, run_plan(&plan, ExecMode::Functional), flops)
     }
 
     /// Timing-only variant for benchmark sweeps.
-    pub fn mttkrp_dry(
-        &self,
-        tensor: &CooTensor,
-        factors: &FactorSet,
-        mode: usize,
-    ) -> ClusterMttkrpReport {
-        self.run(tensor, factors, mode, false)
+    pub fn mttkrp_dry(&self, tensor: &CooTensor, factors: &FactorSet, mode: usize) -> MttkrpReport {
+        let (plan, flops) = self.plan(tensor, factors, mode);
+        MttkrpReport::new("cluster", &plan, run_plan(&plan, ExecMode::Dry), flops)
     }
 
     /// Runs one multi-device MTTKRP under injected faults, recovering per
     /// `policy` (segment retries, transient-outage waits and — in
     /// re-shard mode — placement of a dead device's shards onto the
-    /// survivors). When the run completes fully, the output is bitwise
+    /// survivors). The report's recovery counters say what was lost and
+    /// rescued. When the run completes fully, the output is bitwise
     /// identical to [`ClusterScalFrag::mttkrp`] on the same inputs.
     pub fn mttkrp_resilient(
         &self,
@@ -247,183 +238,25 @@ impl ClusterScalFrag {
         mode: usize,
         injector: &mut FaultInjector,
         policy: &FaultRecoveryPolicy,
-    ) -> ResilientClusterMttkrpReport {
-        let rank = factors.rank();
-        let cfg = self.select_config(tensor, mode, rank as u32);
-        let opts = self.options(cfg);
-        let stats = scalfrag_kernels::SegmentStats::compute(tensor, mode);
-        let run = execute_cluster_resilient(
-            &self.node,
-            tensor,
-            factors,
-            mode,
-            &opts,
-            injector,
-            policy,
-            ExecMode::Functional,
-        );
-        let report = ClusterMttkrpReport {
-            mode,
-            rank,
-            config: opts.kernel.full_config(cfg, rank as u32),
-            num_shards: run.num_shards,
-            per_device: run
-                .devices
-                .iter()
-                .map(|d| PhaseTiming::from_timeline(&d.timeline))
-                .collect(),
-            device_names: run.devices.iter().map(|d| d.device_name).collect(),
-            assignments: run.devices.iter().map(|d| d.shard_indices.clone()).collect(),
-            reduction_s: run.reduction_s,
-            total_s: run.makespan(),
-            flops: stats.flops(rank as u32),
-            output: run.output.clone(),
-        };
-        ResilientClusterMttkrpReport::new(report, &run)
+    ) -> MttkrpReport {
+        let (plan, flops) = self.plan(tensor, factors, mode);
+        let outcome = run_plan_resilient(&plan, injector, policy, ExecMode::Functional);
+        MttkrpReport::new("cluster", &plan, outcome, flops)
     }
 
-    fn run(
-        &self,
-        tensor: &CooTensor,
-        factors: &FactorSet,
-        mode: usize,
-        functional: bool,
-    ) -> ClusterMttkrpReport {
-        let rank = factors.rank();
-        let cfg = self.select_config(tensor, mode, rank as u32);
-        let opts = self.options(cfg);
-        let stats = scalfrag_kernels::SegmentStats::compute(tensor, mode);
-        let exec = if functional { ExecMode::Functional } else { ExecMode::Dry };
-        let run = execute_cluster(&self.node, tensor, factors, mode, &opts, exec);
-        ClusterMttkrpReport::new(
-            &run,
-            mode,
-            rank,
-            opts.kernel.full_config(cfg, rank as u32),
-            stats.flops(rank as u32),
-        )
-    }
-}
-
-/// The result of one multi-device MTTKRP.
-#[derive(Clone, Debug)]
-pub struct ClusterMttkrpReport {
-    /// Target mode.
-    pub mode: usize,
-    /// CPD rank.
-    pub rank: usize,
-    /// The launch configuration the kernels ran with.
-    pub config: LaunchConfig,
-    /// Number of shards the tensor was cut into.
-    pub num_shards: usize,
-    /// Per-device phase breakdowns, index-aligned with the node's device
-    /// list (idle devices report zeros).
-    pub per_device: Vec<PhaseTiming>,
-    /// Device names, index-aligned with `per_device`.
-    pub device_names: Vec<&'static str>,
-    /// Global shard indices each device executed.
-    pub assignments: Vec<Vec<usize>>,
-    /// Simulated seconds of the cross-shard reduction stage.
-    pub reduction_s: f64,
-    /// Cluster makespan: slowest device + reduction (s).
-    pub total_s: f64,
-    /// MTTKRP FLOPs.
-    pub flops: u64,
-    /// The MTTKRP output (zeros for dry runs).
-    pub output: Mat,
-}
-
-impl ClusterMttkrpReport {
-    fn new(run: &ClusterRun, mode: usize, rank: usize, config: LaunchConfig, flops: u64) -> Self {
-        Self {
-            mode,
-            rank,
-            config,
-            num_shards: run.num_shards,
-            per_device: run
-                .devices
-                .iter()
-                .map(|d| PhaseTiming::from_timeline(&d.timeline))
-                .collect(),
-            device_names: run.devices.iter().map(|d| d.device_name).collect(),
-            assignments: run.devices.iter().map(|d| d.shard_indices.clone()).collect(),
-            reduction_s: run.reduction_s,
-            total_s: run.makespan(),
-            flops,
-            output: run.output.clone(),
-        }
-    }
-
-    /// Number of devices in the node (including idle ones).
-    pub fn num_devices(&self) -> usize {
-        self.per_device.len()
-    }
-
-    /// End-to-end achieved GFLOP/s across the node.
-    pub fn e2e_gflops(&self) -> f64 {
-        if self.total_s <= 0.0 {
-            0.0
-        } else {
-            self.flops as f64 / self.total_s / 1e9
-        }
-    }
-
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        let busiest = self.per_device.iter().map(|p| p.total_s).fold(0.0, f64::max);
-        format!(
-            "cluster   mode-{} {} gpus={} shards={} | busiest {:.3}ms reduce {:.3}ms | total {:.3}ms ({:.1} GF/s e2e)",
-            self.mode,
-            self.config,
-            self.num_devices(),
-            self.num_shards,
-            busiest * 1e3,
-            self.reduction_s * 1e3,
-            self.total_s * 1e3,
-            self.e2e_gflops(),
-        )
-    }
-}
-
-/// A [`ClusterMttkrpReport`] plus the fault-recovery bookkeeping of the
-/// run that produced it.
-#[derive(Clone, Debug)]
-pub struct ResilientClusterMttkrpReport {
-    /// The usual cluster report (output, per-device timings, makespan).
-    pub report: ClusterMttkrpReport,
-    /// Segments permanently lost (0 when recovery succeeded everywhere).
-    pub failed_segments: usize,
-    /// Segments that completed somewhere.
-    pub completed_segments: usize,
-    /// Segments rescued by re-sharding onto a surviving device.
-    pub replaced_segments: usize,
-    /// Total segment retry attempts beyond the first.
-    pub retries: usize,
-    /// Devices that died permanently during the run.
-    pub dead_devices: Vec<usize>,
-}
-
-impl ResilientClusterMttkrpReport {
-    fn new(report: ClusterMttkrpReport, run: &ResilientClusterRun) -> Self {
-        Self {
-            report,
-            failed_segments: run.failed_segments,
-            completed_segments: run.completed_segments,
-            replaced_segments: run.replaced_segments,
-            retries: run.retries,
-            dead_devices: run.dead_devices.clone(),
-        }
-    }
-
-    /// True when every segment completed despite the faults.
-    pub fn all_complete(&self) -> bool {
-        self.failed_segments == 0
+    /// Lowers one MTTKRP to a cluster plan and counts its FLOPs.
+    fn plan(&self, tensor: &CooTensor, factors: &FactorSet, mode: usize) -> (Plan, u64) {
+        let rank = factors.rank() as u32;
+        let cfg = self.select_config(tensor, mode, rank);
+        let plan = build_cluster_plan(&self.node, tensor, factors, mode, &self.options(cfg));
+        (plan, SegmentStats::compute(tensor, mode).flops(rank))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{DeviceReport, PhaseTiming};
     use scalfrag_kernels::reference::mttkrp_seq;
 
     fn small() -> (CooTensor, FactorSet) {
@@ -442,8 +275,9 @@ mod tests {
         assert!(r.output.max_abs_diff(&expect) < 1e-2, "diff {}", r.output.max_abs_diff(&expect));
         assert_eq!(r.num_devices(), 2);
         assert_eq!(r.num_shards, 4, "default shards = 2 × devices");
-        assert!(r.total_s > 0.0);
+        assert!(r.timing.total_s > 0.0);
         assert_eq!(r.reduction_s, 0.0, "slice-aligned default reduces for free");
+        assert!(r.all_complete() && r.retries == 0);
     }
 
     #[test]
@@ -456,6 +290,7 @@ mod tests {
                 .shards(4)
                 .build()
                 .mttkrp_dry(&t, &f, 0)
+                .timing
                 .total_s
         };
         let one = run(1);
@@ -493,9 +328,66 @@ mod tests {
             .output
             .as_slice()
             .iter()
-            .zip(r.report.output.as_slice())
+            .zip(r.output.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same, "recovered output must be bitwise identical to the fault-free run");
+    }
+
+    #[test]
+    fn fault_free_resilient_report_has_clean_counters() {
+        let (t, f) = small();
+        let ctx =
+            ClusterScalFrag::builder().fixed_config(LaunchConfig::new(1024, 256)).shards(4).build();
+        let clean = ctx.mttkrp(&t, &f, 1);
+        let mut inj = FaultInjector::inert();
+        let r = ctx.mttkrp_resilient(&t, &f, 1, &mut inj, &FaultRecoveryPolicy::retry_reshard());
+        assert!(r.all_complete());
+        assert_eq!(r.completed_segments, r.segments);
+        assert_eq!((r.retries, r.replaced_segments), (0, 0));
+        assert!(r.dead_devices.is_empty());
+        assert_eq!(r.output.as_slice(), clean.output.as_slice());
+        assert!(r.timing.total_s >= clean.timing.total_s, "checksum scans cost time");
+    }
+
+    #[test]
+    fn dry_cluster_report_times_like_the_functional_one() {
+        let (t, f) = small();
+        let ctx = ClusterScalFrag::builder()
+            .fixed_config(LaunchConfig::new(512, 256))
+            .shard_policy(ShardPolicy::NnzBalanced)
+            .shards(3)
+            .build();
+        let wet = ctx.mttkrp(&t, &f, 0);
+        let dry = ctx.mttkrp_dry(&t, &f, 0);
+        assert_eq!(wet.timing, dry.timing);
+        assert_eq!(wet.reduction_s, dry.reduction_s);
+        assert_eq!(wet.devices, dry.devices);
+        assert!(wet.output.frob_norm() > 0.0);
+        assert_eq!(dry.output.frob_norm(), 0.0);
+    }
+
+    #[test]
+    fn device_reports_follow_the_node_order() {
+        let (t, f) = small();
+        let node = NodeSpec::heterogeneous(vec![
+            DeviceSpec::rtx3090(),
+            DeviceSpec::a100(),
+            DeviceSpec::rtx3060(),
+            DeviceSpec::rtx3090(),
+        ]);
+        let names: Vec<_> = node.devices.iter().map(|d| d.name).collect();
+        let r = ClusterScalFrag::builder()
+            .node(node)
+            .fixed_config(LaunchConfig::new(512, 256))
+            .shards(2)
+            .build()
+            .mttkrp_dry(&t, &f, 0);
+        assert_eq!(r.devices.iter().map(|d| d.name).collect::<Vec<_>>(), names);
+        let idle: Vec<&DeviceReport> = r.devices.iter().filter(|d| d.shards.is_empty()).collect();
+        assert!(idle.len() >= 2, "2 shards leave at least 2 of 4 devices idle");
+        for d in idle {
+            assert_eq!(d.timing, PhaseTiming::default(), "{} is idle", d.name);
+        }
     }
 
     #[test]
@@ -506,5 +398,48 @@ mod tests {
         let r = ctx.mttkrp_dry(&t, &f, 1);
         let s = r.summary();
         assert!(s.contains("gpus=2") && s.contains("shards=3"), "{s}");
+    }
+
+    #[test]
+    fn multi_device_timing_pools_the_devices() {
+        // Busy phases are summed across devices; the makespan is the
+        // slowest device plus the reduction stage.
+        let (t, f) = small();
+        let r = ClusterScalFrag::builder()
+            .node(NodeSpec::homogeneous(DeviceSpec::rtx3090(), 3))
+            .fixed_config(LaunchConfig::new(512, 256))
+            .shard_policy(ShardPolicy::NnzBalanced)
+            .shards(6)
+            .build()
+            .mttkrp_dry(&t, &f, 0);
+        assert_eq!(r.num_devices(), 3);
+        assert_eq!(r.segments, 6 * r.streams, "2 segments per shard on 2 streams");
+        let sum = |phase: fn(&PhaseTiming) -> f64| r.devices.iter().map(|d| phase(&d.timing)).sum();
+        assert_eq!(r.timing.h2d_s, sum(|p| p.h2d_s));
+        assert_eq!(r.timing.kernel_s, sum(|p| p.kernel_s));
+        assert_eq!(r.timing.d2h_s, sum(|p| p.d2h_s));
+        let slowest = r.devices.iter().map(|d| d.timing.total_s).fold(0.0, f64::max);
+        assert!(r.reduction_s > 0.0, "row-overlapping shards pay a reduction");
+        assert_eq!(r.timing.total_s, slowest + r.reduction_s);
+        let mut shards: Vec<usize> = r.devices.iter().flat_map(|d| d.shards.clone()).collect();
+        shards.sort_unstable();
+        assert_eq!(shards, (0..6).collect::<Vec<_>>(), "every shard runs exactly once");
+    }
+
+    #[test]
+    fn resilient_report_counts_lost_work_without_retries() {
+        use scalfrag_faults::{FaultKind, FaultPlan, FaultTrigger};
+        let (t, f) = small();
+        let ctx =
+            ClusterScalFrag::builder().fixed_config(LaunchConfig::new(1024, 256)).shards(4).build();
+        let mut inj = FaultInjector::new(FaultPlan::new().fault(
+            1,
+            FaultTrigger::AtOp(2),
+            FaultKind::DeviceFail { down_s: None },
+        ));
+        let r = ctx.mttkrp_resilient(&t, &f, 0, &mut inj, &FaultRecoveryPolicy::no_retry());
+        assert!(!r.all_complete(), "no-retry must lose the dead device's work");
+        assert_eq!(r.failed_segments + r.completed_segments, 4 * 2, "4 shards × 2 segments");
+        assert_eq!((r.replaced_segments, r.dead_devices.clone()), (0, vec![1]));
     }
 }

@@ -7,12 +7,12 @@
 //! kernel on the same simulated device as ScalFrag — making the Fig. 9/10
 //! comparisons strategy-vs-strategy on identical hardware.
 
-use crate::report::{MttkrpReport, PhaseTiming};
-use scalfrag_exec::PlanBuilder;
+use crate::report::MttkrpReport;
+use scalfrag_exec::{run_plan_on, ExecMode, KernelChoice, PlanBuilder};
 use scalfrag_gpusim::{DeviceSpec, Gpu, LaunchConfig};
 use scalfrag_kernels::{FactorSet, MttkrpBackend, SegmentStats};
 use scalfrag_linalg::Mat;
-use scalfrag_pipeline::{build_sync_plan, execute_sync, ExecMode, KernelChoice};
+use scalfrag_pipeline::build_sync_plan;
 use scalfrag_tensor::CooTensor;
 
 /// The ParTI baseline framework.
@@ -59,22 +59,12 @@ impl Parti {
         functional: bool,
     ) -> MttkrpReport {
         let cfg = Self::launch_config(tensor);
-        let mut gpu = Gpu::new(self.device.clone());
         let stats = SegmentStats::compute(tensor, mode);
         let exec = if functional { ExecMode::Functional } else { ExecMode::Dry };
-        let run = execute_sync(&mut gpu, tensor, factors, mode, cfg, KernelChoice::CooAtomic, exec);
-        MttkrpReport {
-            backend: "parti",
-            mode,
-            rank: factors.rank(),
-            config: cfg,
-            segments: 1,
-            streams: 1,
-            flops: stats.flops(factors.rank() as u32),
-            timing: PhaseTiming::from_timeline(&run.timeline),
-            overlap_ratio: run.timeline.overlap_ratio(),
-            output: run.output,
-        }
+        let plan =
+            build_sync_plan(&self.device, tensor, factors, mode, cfg, KernelChoice::CooAtomic);
+        let outcome = run_plan_on(&mut Gpu::new(self.device.clone()), &plan, exec);
+        MttkrpReport::new("parti", &plan, outcome, stats.flops(factors.rank() as u32))
     }
 
     /// An [`MttkrpBackend`] view (for CPD-ALS comparisons).
@@ -148,6 +138,17 @@ mod tests {
             assert_eq!(r.segments, 1);
             assert_eq!(r.config.block, 256);
         }
+    }
+
+    #[test]
+    fn parti_report_is_one_sync_segment_on_one_device() {
+        let (t, f) = &tensors()[2];
+        let r = Parti::rtx3090().mttkrp_dry(t, f, 3);
+        assert_eq!((r.backend, r.mode, r.rank), ("parti", 3, 16));
+        assert_eq!((r.segments, r.streams, r.num_shards, r.num_devices()), (1, 1, 1, 1));
+        assert_eq!(r.config, Parti::launch_config(t), "the atomic COO kernel asks for no smem");
+        assert_eq!(r.devices[0].timing, r.timing);
+        assert!(r.all_complete() && r.completed_segments == 1);
     }
 
     #[test]

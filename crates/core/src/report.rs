@@ -1,6 +1,7 @@
 //! End-to-end MTTKRP execution reports — the measurements every figure of
 //! the evaluation section is drawn from.
 
+use scalfrag_exec::{ExecOutcome, Plan};
 use scalfrag_gpusim::{LaunchConfig, Timeline};
 use scalfrag_linalg::Mat;
 
@@ -113,10 +114,24 @@ impl PhaseTiming {
     }
 }
 
-/// The result of one end-to-end MTTKRP through a framework backend.
+/// One device's share of an MTTKRP execution.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DeviceReport {
+    /// Marketing name of the simulated device.
+    pub name: &'static str,
+    /// Global indices of the shards that ran on this device (empty when
+    /// the device stayed idle).
+    pub shards: Vec<usize>,
+    /// This device's phase breakdown (zeros when idle).
+    pub timing: PhaseTiming,
+}
+
+/// The result of one end-to-end MTTKRP through a framework facade —
+/// single-device ([`crate::ScalFrag`], [`crate::Parti`]) or multi-device
+/// ([`crate::ClusterScalFrag`]), fault-free or fault-injected.
 #[derive(Clone, Debug)]
 pub struct MttkrpReport {
-    /// Framework name (`"scalfrag"` / `"parti"`).
+    /// Framework name (`"scalfrag"` / `"parti"` / `"cluster"`).
     pub backend: &'static str,
     /// Target mode.
     pub mode: usize,
@@ -124,21 +139,103 @@ pub struct MttkrpReport {
     pub rank: usize,
     /// The launch configuration the kernel ran with.
     pub config: LaunchConfig,
-    /// Number of pipeline segments used (1 = synchronous).
+    /// Number of pipeline segments used, summed over shards (1 =
+    /// synchronous).
     pub segments: usize,
-    /// Number of streams used.
+    /// Number of streams used (per device).
     pub streams: usize,
     /// MTTKRP FLOPs.
     pub flops: u64,
-    /// Phase breakdown.
+    /// Phase breakdown. On multi-device runs the busy phases are summed
+    /// across devices and `total_s` is the slowest device plus the
+    /// reduction stage.
     pub timing: PhaseTiming,
-    /// Overlap ratio of the schedule (0 = serial).
+    /// Overlap ratio of the schedule (0 = serial): the share of device
+    /// busy time hidden by overlap, pooled over all devices.
     pub overlap_ratio: f64,
-    /// The MTTKRP output (zeros for dry runs).
+    /// The MTTKRP output (zeros for dry runs or where work was lost).
     pub output: Mat,
+    /// Per-device breakdowns, index-aligned with the plan's device list.
+    pub devices: Vec<DeviceReport>,
+    /// Simulated seconds of the cross-shard reduction stage (0 on one
+    /// device and for slice-aligned shards).
+    pub reduction_s: f64,
+    /// Number of shards the tensor was cut into (1 on one device).
+    pub num_shards: usize,
+    /// Segments whose work was ultimately lost (0 unless fault-injected).
+    pub failed_segments: usize,
+    /// Segments that completed.
+    pub completed_segments: usize,
+    /// Segments that completed on a device other than their original
+    /// placement (the re-shard recovery path).
+    pub replaced_segments: usize,
+    /// Total segment retries across all devices.
+    pub retries: usize,
+    /// Devices that were down at start or died during the run.
+    pub dead_devices: Vec<usize>,
 }
 
 impl MttkrpReport {
+    /// Builds the report of one interpreted `plan`. Mode, rank, segment,
+    /// stream and shard counts come from the plan, as does the launch
+    /// configuration (with the kernel's shared-memory request); timings
+    /// and recovery counters come from the `outcome`.
+    pub fn new(backend: &'static str, plan: &Plan, outcome: ExecOutcome, flops: u64) -> Self {
+        let timelines = &outcome.device_timelines;
+        let mut timing = PhaseTiming { total_s: outcome.makespan(), ..PhaseTiming::default() };
+        for t in timelines {
+            let (h2d_s, kernel_s, d2h_s, host_s) = t.breakdown();
+            timing.h2d_s += h2d_s;
+            timing.kernel_s += kernel_s;
+            timing.d2h_s += d2h_s;
+            timing.host_s += host_s;
+        }
+        let busy: f64 = timelines.iter().map(Timeline::total_busy).sum();
+        let spans: f64 = timelines.iter().map(Timeline::makespan).sum();
+        let overlap_ratio = if busy <= 0.0 { 0.0 } else { (1.0 - spans / busy).max(0.0) };
+        let devices = plan
+            .devices
+            .iter()
+            .zip(timelines)
+            .zip(&outcome.device_shards)
+            .map(|((dev, t), shards)| DeviceReport {
+                name: dev.name,
+                shards: shards.clone(),
+                timing: PhaseTiming::from_timeline(t),
+            })
+            .collect();
+        Self {
+            backend,
+            mode: plan.mode,
+            rank: plan.rank,
+            config: plan.kernel.full_config(plan.config, plan.rank as u32),
+            segments: plan.seg_lists.iter().map(Vec::len).sum(),
+            streams: plan.devices[0].worker_streams,
+            flops,
+            timing,
+            overlap_ratio,
+            devices,
+            reduction_s: outcome.reduction_s,
+            num_shards: plan.shards.len(),
+            failed_segments: outcome.failed_segments(),
+            completed_segments: outcome.completed_segments,
+            replaced_segments: outcome.replaced_segments,
+            retries: outcome.retries,
+            dead_devices: outcome.dead_devices,
+            output: outcome.output,
+        }
+    }
+
+    /// Number of devices the plan spanned (including idle ones).
+    pub fn num_devices(&self) -> usize {
+        self.devices.len()
+    }
+
+    /// True when every segment completed (always, unless fault-injected).
+    pub fn all_complete(&self) -> bool {
+        self.failed_segments == 0
+    }
+
     /// Kernel-only achieved GFLOP/s (the Fig. 9 metric).
     pub fn kernel_gflops(&self) -> f64 {
         if self.timing.kernel_s <= 0.0 {
@@ -157,17 +254,25 @@ impl MttkrpReport {
         }
     }
 
-    /// One-line human-readable summary. The host phase used to be silently
-    /// dropped from the breakdown; it now shows whenever a hybrid run put
-    /// work on the CPU.
+    /// One-line human-readable summary. The host phase shows whenever a
+    /// hybrid run put work on the CPU; the node shape and reduction stage
+    /// show whenever the tensor was sharded.
     pub fn summary(&self) -> String {
         let host = if self.timing.host_s > 0.0 {
             format!(" host {:.3}ms", self.timing.host_s * 1e3)
         } else {
             String::new()
         };
+        let (node, reduce) = if self.num_shards > 1 {
+            (
+                format!(" gpus={} shards={}", self.num_devices(), self.num_shards),
+                format!(" reduce {:.3}ms", self.reduction_s * 1e3),
+            )
+        } else {
+            (String::new(), String::new())
+        };
         format!(
-            "{:<9} mode-{} {} segs={} streams={} | H2D {:.3}ms kernel {:.3}ms D2H {:.3}ms{host} | total {:.3}ms ({:.1} GF/s kernel, {:.1} GF/s e2e, overlap {:.0}%)",
+            "{:<9} mode-{} {}{node} segs={} streams={} | H2D {:.3}ms kernel {:.3}ms D2H {:.3}ms{host}{reduce} | total {:.3}ms ({:.1} GF/s kernel, {:.1} GF/s e2e, overlap {:.0}%)",
             self.backend,
             self.mode,
             self.config,
@@ -187,7 +292,14 @@ impl MttkrpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalfrag_gpusim::{Engine, Span, SpanKind};
+    use scalfrag_exec::{
+        run_plan, run_plan_resilient_on, ExecMode, FaultRecoveryPolicy, KernelChoice,
+    };
+    use scalfrag_faults::{FaultInjector, FaultKind, FaultPlan, FaultTrigger};
+    use scalfrag_gpusim::{DeviceSpec, Engine, Gpu, Span, SpanKind};
+    use scalfrag_kernels::FactorSet;
+    use scalfrag_pipeline::{build_pipelined_plan, build_sync_plan, PipelinePlan};
+    use scalfrag_tensor::CooTensor;
 
     fn span(engine: Engine, start: f64, end: f64) -> Span {
         Span { op: 0, stream: 0, engine, kind: SpanKind::Kernel, label: String::new(), start, end }
@@ -210,32 +322,44 @@ mod tests {
         assert!((p.h2d_fraction() - 3.0 / 4.5).abs() < 1e-12);
     }
 
-    #[test]
-    fn gflops_and_summary() {
-        let r = MttkrpReport {
+    fn report(timing: PhaseTiming, flops: u64, overlap_ratio: f64) -> MttkrpReport {
+        MttkrpReport {
             backend: "scalfrag",
             mode: 0,
             rank: 16,
             config: LaunchConfig::new(1024, 256),
             segments: 4,
             streams: 4,
-            flops: 2_000_000_000,
-            timing: PhaseTiming {
-                h2d_s: 0.01,
-                kernel_s: 0.004,
-                d2h_s: 0.001,
-                host_s: 0.0,
-                queue_s: 0.0,
-                batch_wait_s: 0.0,
-                total_s: 0.012,
-            },
-            overlap_ratio: 0.2,
+            flops,
+            timing,
+            overlap_ratio,
             output: Mat::zeros(1, 1),
+            devices: Vec::new(),
+            reduction_s: 0.0,
+            num_shards: 1,
+            failed_segments: 0,
+            completed_segments: 4,
+            replaced_segments: 0,
+            retries: 0,
+            dead_devices: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn gflops_and_summary() {
+        let timing = PhaseTiming {
+            h2d_s: 0.01,
+            kernel_s: 0.004,
+            d2h_s: 0.001,
+            total_s: 0.012,
+            ..Default::default()
         };
+        let r = report(timing, 2_000_000_000, 0.2);
         assert!((r.kernel_gflops() - 500.0).abs() < 1e-9);
         assert!((r.e2e_gflops() - 2_000.0 / 12.0).abs() < 1e-6);
         let s = r.summary();
         assert!(s.contains("scalfrag") && s.contains("segs=4"));
+        assert!(!s.contains("gpus="), "single-shard runs print no node shape: {s}");
     }
 
     #[test]
@@ -290,28 +414,119 @@ mod tests {
 
     #[test]
     fn hybrid_host_phase_shows_in_summary() {
-        let mut r = MttkrpReport {
-            backend: "scalfrag",
-            mode: 0,
-            rank: 16,
-            config: LaunchConfig::new(1024, 256),
-            segments: 4,
-            streams: 4,
-            flops: 1_000,
-            timing: PhaseTiming {
-                h2d_s: 0.01,
-                kernel_s: 0.004,
-                d2h_s: 0.001,
-                host_s: 0.002,
-                queue_s: 0.0,
-                batch_wait_s: 0.0,
-                total_s: 0.012,
-            },
-            overlap_ratio: 0.0,
-            output: Mat::zeros(1, 1),
+        let timing = PhaseTiming {
+            h2d_s: 0.01,
+            kernel_s: 0.004,
+            d2h_s: 0.001,
+            host_s: 0.002,
+            total_s: 0.012,
+            ..Default::default()
         };
+        let mut r = report(timing, 1_000, 0.0);
         assert!(r.summary().contains("host"), "host phase must not be silently dropped");
         r.timing.host_s = 0.0;
         assert!(!r.summary().contains("host"));
+    }
+
+    #[test]
+    fn summary_shows_the_node_shape_and_reduction_when_sharded() {
+        let mut r = report(PhaseTiming { total_s: 0.01, ..Default::default() }, 1_000, 0.0);
+        assert!(!r.summary().contains("reduce"), "one shard has no reduction stage");
+        let device = |shards: Vec<usize>| DeviceReport {
+            name: "GeForce RTX 3090",
+            shards,
+            timing: PhaseTiming::default(),
+        };
+        r.devices = vec![device(vec![0, 2]), device(vec![1, 3])];
+        r.num_shards = 4;
+        r.reduction_s = 0.002;
+        let s = r.summary();
+        assert!(s.contains(" gpus=2 shards=4 ") && s.contains(" reduce 2.000ms "), "{s}");
+    }
+
+    fn sample() -> (CooTensor, FactorSet) {
+        let dims = [120u32, 90, 60];
+        let mut t = scalfrag_tensor::gen::zipf_slices(&dims, 6_000, 0.8, 3);
+        t.sort_for_mode(0);
+        (t, FactorSet::random(&dims, 8, 4))
+    }
+
+    fn pipelined(t: &CooTensor, f: &FactorSet) -> (Plan, PipelinePlan) {
+        let pp = PipelinePlan::new(t, 0, LaunchConfig::new(512, 256), 4, 2);
+        let plan = build_pipelined_plan(&DeviceSpec::rtx3090(), t, f, &pp, KernelChoice::Tiled);
+        (plan, pp)
+    }
+
+    #[test]
+    fn single_device_report_matches_its_timeline() {
+        // On one device the pooled timing and overlap must be exactly
+        // the device timeline's own numbers.
+        let (t, f) = sample();
+        let (plan, pp) = pipelined(&t, &f);
+        let outcome = run_plan(&plan, ExecMode::Dry);
+        let timeline = outcome.timeline.clone();
+        let r = MttkrpReport::new("scalfrag", &plan, outcome, 1);
+        assert_eq!(r.timing, PhaseTiming::from_timeline(&timeline));
+        assert_eq!(r.overlap_ratio.to_bits(), timeline.overlap_ratio().to_bits());
+        assert_eq!((r.segments, r.streams, r.num_shards), (pp.num_segments(), 2, 1));
+        assert_eq!(r.devices.len(), 1);
+        assert_eq!(r.devices[0].timing, r.timing);
+        assert!(r.all_complete() && r.completed_segments == pp.num_segments());
+    }
+
+    #[test]
+    fn sync_plan_reports_one_segment_on_one_stream() {
+        let (t, f) = sample();
+        let cfg = LaunchConfig::new(512, 256);
+        let device = DeviceSpec::rtx3090();
+        let plan = build_sync_plan(&device, &t, &f, 1, cfg, KernelChoice::Tiled);
+        let r = MttkrpReport::new("scalfrag", &plan, run_plan(&plan, ExecMode::Dry), 1);
+        assert_eq!((r.mode, r.rank), (1, 8), "mode and rank come from the plan");
+        assert_eq!((r.segments, r.streams, r.num_shards), (1, 1, 1));
+        assert_eq!(r.config, KernelChoice::Tiled.full_config(cfg, 8), "smem request shows");
+        assert_eq!(r.reduction_s, 0.0);
+        assert_eq!(r.devices[0].name, device.name);
+    }
+
+    #[test]
+    fn a_lost_segment_shows_in_the_recovery_counters() {
+        let (t, f) = sample();
+        let (plan, pp) = pipelined(&t, &f);
+        let faults =
+            FaultPlan::new().fault(0, FaultTrigger::AtOp(2), FaultKind::TransferCorruption);
+        let outcome = run_plan_resilient_on(
+            &mut Gpu::new(DeviceSpec::rtx3090()),
+            &plan,
+            0,
+            &mut FaultInjector::new(faults),
+            &FaultRecoveryPolicy::no_retry(),
+            ExecMode::Functional,
+        );
+        let r = MttkrpReport::new("scalfrag", &plan, outcome, 1);
+        assert!(!r.all_complete());
+        assert_eq!(r.failed_segments, 1, "no-retry loses exactly the faulted segment");
+        assert_eq!(r.completed_segments, pp.num_segments() - 1);
+        assert_eq!((r.retries, r.replaced_segments), (0, 0));
+        assert!(r.dead_devices.is_empty(), "a corrupted transfer kills no device");
+    }
+
+    #[test]
+    fn pooled_overlap_is_a_busy_weighted_mean_of_the_devices() {
+        use scalfrag_cluster::{build_cluster_plan, ClusterOptions, NodeSpec};
+        let (t, f) = sample();
+        let node = NodeSpec::homogeneous(DeviceSpec::rtx3090(), 3);
+        let opts = ClusterOptions::new(LaunchConfig::new(512, 256), 5);
+        let plan = build_cluster_plan(&node, &t, &f, 0, &opts);
+        let outcome = run_plan(&plan, ExecMode::Dry);
+        let weighted: Vec<(f64, f64)> = outcome
+            .device_timelines
+            .iter()
+            .map(|tl| (tl.total_busy(), tl.overlap_ratio()))
+            .collect();
+        let r = MttkrpReport::new("cluster", &plan, outcome, 1);
+        let busy: f64 = weighted.iter().map(|(b, _)| b).sum();
+        let mean = weighted.iter().map(|(b, ratio)| b * ratio).sum::<f64>() / busy;
+        assert!(weighted.iter().any(|&(_, ratio)| ratio != mean), "devices differ: {weighted:?}");
+        assert!((r.overlap_ratio - mean).abs() < 1e-12, "{} vs {mean}", r.overlap_ratio);
     }
 }

@@ -1,13 +1,14 @@
 //! The ScalFrag framework facade (Fig. 6).
 
-use crate::report::{MttkrpReport, PhaseTiming};
+use crate::report::MttkrpReport;
 use scalfrag_autotune::TrainedPredictor;
+use scalfrag_exec::{run_plan_on, ExecMode, KernelChoice};
 use scalfrag_gpusim::{DeviceSpec, Gpu, LaunchConfig};
 use scalfrag_kernels::{FactorSet, MttkrpBackend};
 use scalfrag_linalg::Mat;
 use scalfrag_pipeline::{
-    execute_hybrid, execute_pipelined, execute_sync, split_by_slice_population, ExecMode,
-    KernelChoice, PipelinePlan,
+    build_hybrid_plan, build_pipelined_plan, build_sync_plan, split_by_slice_population,
+    PipelinePlan,
 };
 use scalfrag_tensor::{CooTensor, TensorFeatures};
 
@@ -257,17 +258,13 @@ impl ScalFrag {
         let rank = factors.rank();
         let cfg = self.select_config(tensor, mode, rank as u32);
         let kernel = self.kernel_choice();
-        let mut gpu = Gpu::new(self.device.clone());
         let stats = scalfrag_kernels::SegmentStats::compute(tensor, mode);
         let exec = if functional { ExecMode::Functional } else { ExecMode::Dry };
-
-        let (run, segments, streams) = if self.config.hybrid && functional {
+        let plan = if self.config.hybrid && functional {
             let split = split_by_slice_population(tensor, mode, self.config.hybrid_threshold);
             let segs = self.config.segments.unwrap_or(4);
             let strs = self.config.streams.unwrap_or(4.min(segs.max(1)));
-            let run =
-                execute_hybrid(&mut gpu, &split, factors, mode, cfg, segs, strs, kernel, exec);
-            (run, segs, strs)
+            build_hybrid_plan(&self.device, &split, factors, mode, cfg, segs, strs, kernel)
         } else if self.config.pipelined {
             let mut sorted = tensor.clone();
             sorted.sort_for_mode(mode);
@@ -279,25 +276,12 @@ impl ScalFrag {
                     PipelinePlan::auto(&sorted, mode, cfg, &self.device, factors.byte_size())
                 }
             };
-            let run = execute_pipelined(&mut gpu, &sorted, factors, &plan, kernel, exec);
-            (run, plan.num_segments(), plan.num_streams)
+            build_pipelined_plan(&self.device, &sorted, factors, &plan, kernel)
         } else {
-            let run = execute_sync(&mut gpu, tensor, factors, mode, cfg, kernel, exec);
-            (run, 1, 1)
+            build_sync_plan(&self.device, tensor, factors, mode, cfg, kernel)
         };
-
-        MttkrpReport {
-            backend: "scalfrag",
-            mode,
-            rank,
-            config: kernel.full_config(cfg, rank as u32),
-            segments,
-            streams,
-            flops: stats.flops(rank as u32),
-            timing: PhaseTiming::from_timeline(&run.timeline),
-            overlap_ratio: run.timeline.overlap_ratio(),
-            output: run.output,
-        }
+        let outcome = run_plan_on(&mut Gpu::new(self.device.clone()), &plan, exec);
+        MttkrpReport::new("scalfrag", &plan, outcome, stats.flops(rank as u32))
     }
 
     /// An [`MttkrpBackend`] view of this framework (for CPD-ALS), which
@@ -429,6 +413,38 @@ mod tests {
         let r = ctx.mttkrp_dry(&t, &f, 0);
         assert!(r.timing.total_s > 0.0);
         assert_eq!(r.output.frob_norm(), 0.0);
+    }
+
+    #[test]
+    fn dry_and_functional_reports_share_their_timing() {
+        let (t, f) = small();
+        let ctx =
+            ScalFrag::builder().fixed_config(LaunchConfig::new(1024, 256)).segments(4).build();
+        let wet = ctx.mttkrp(&t, &f, 2);
+        let dry = ctx.mttkrp_dry(&t, &f, 2);
+        assert_eq!(wet.timing, dry.timing);
+        assert_eq!(wet.overlap_ratio.to_bits(), dry.overlap_ratio.to_bits());
+        assert_eq!(
+            (wet.segments, wet.streams, wet.config),
+            (dry.segments, dry.streams, dry.config)
+        );
+    }
+
+    #[test]
+    fn hybrid_report_keeps_the_host_phase_on_its_one_device() {
+        let (t, f) = small();
+        let ctx = ScalFrag::builder()
+            .fixed_config(LaunchConfig::new(1024, 256))
+            .hybrid(true)
+            .hybrid_threshold(30)
+            .segments(3)
+            .streams(2)
+            .build();
+        let r = ctx.mttkrp(&t, &f, 0);
+        assert_eq!((r.streams, r.num_shards, r.num_devices()), (2, 1, 1));
+        assert!((1..=3).contains(&r.segments), "at most the requested segments: {}", r.segments);
+        assert!(r.timing.host_s > 0.0);
+        assert_eq!(r.devices[0].timing, r.timing, "the host residue shares the device timeline");
     }
 
     #[test]

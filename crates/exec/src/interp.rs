@@ -106,6 +106,11 @@ impl ExecOutcome {
     pub fn all_complete(&self) -> bool {
         self.completed_segments == self.total_items
     }
+
+    /// Items whose work was ultimately lost.
+    pub fn failed_segments(&self) -> usize {
+        self.total_items - self.completed_segments
+    }
 }
 
 type HostAcc = Arc<Mutex<Option<Mat>>>;

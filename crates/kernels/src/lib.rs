@@ -37,9 +37,7 @@ pub mod partials;
 pub mod race;
 pub mod reference;
 pub mod simd;
-pub mod spttm;
 pub mod tiled_kernel;
-pub mod tucker;
 pub mod workload;
 
 pub use atomic_buf::AtomicF32Buffer;
@@ -61,5 +59,4 @@ pub use race::{
     trace_racy_balanced_carry, trace_racy_coo, trace_tiled,
 };
 pub use tiled_kernel::TiledKernel;
-pub use tucker::{tucker_hosvd, TuckerResult};
 pub use workload::SegmentStats;

@@ -461,3 +461,303 @@ pub fn balance_plan_builders() -> Vec<PlanBuilder> {
         }),
     ]
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scalfrag_exec::{
+        run_plan_on, run_plan_resilient_on, ExecMode, ExecOutcome, FaultRecoveryPolicy, RetryPolicy,
+    };
+    use scalfrag_faults::{FaultInjector, FaultKind, FaultPlan, FaultTrigger};
+    use scalfrag_gpusim::Gpu;
+    use scalfrag_kernels::reference::mttkrp_seq;
+    use scalfrag_linalg::Mat;
+
+    fn setup(nnz: usize) -> (CooTensor, FactorSet) {
+        let dims = [300u32, 200, 150];
+        let mut t = scalfrag_tensor::gen::zipf_slices(&dims, nnz, 0.7, 11);
+        t.sort_for_mode(0);
+        let f = FactorSet::random(&dims, 16, 12);
+        (t, f)
+    }
+
+    fn pipelined(
+        gpu: &mut Gpu,
+        t: &CooTensor,
+        f: &FactorSet,
+        plan: &PipelinePlan,
+        exec: ExecMode,
+    ) -> ExecOutcome {
+        let p = build_pipelined_plan(gpu.spec(), t, f, plan, KernelChoice::Tiled);
+        run_plan_on(gpu, &p, exec)
+    }
+
+    fn sync(
+        gpu: &mut Gpu,
+        t: &CooTensor,
+        f: &FactorSet,
+        config: LaunchConfig,
+        kernel: KernelChoice,
+        exec: ExecMode,
+    ) -> ExecOutcome {
+        let p = build_sync_plan(gpu.spec(), t, f, 0, config, kernel);
+        run_plan_on(gpu, &p, exec)
+    }
+
+    /// The pipelined plan under fault injection on device 0, retrying
+    /// failed segments per `retry`.
+    fn resilient(
+        gpu: &mut Gpu,
+        t: &CooTensor,
+        f: &FactorSet,
+        plan: &PipelinePlan,
+        injector: &mut FaultInjector,
+        retry: RetryPolicy,
+    ) -> ExecOutcome {
+        let p = build_pipelined_plan(gpu.spec(), t, f, plan, KernelChoice::Tiled);
+        let policy = FaultRecoveryPolicy::retry().with_retry(retry);
+        run_plan_resilient_on(gpu, &p, 0, injector, &policy, ExecMode::Functional)
+    }
+
+    fn pplan(t: &CooTensor) -> PipelinePlan {
+        PipelinePlan::new(t, 0, LaunchConfig::new(1024, 256), 4, 2)
+    }
+
+    fn bits(m: &Mat) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn total_attempts(run: &ExecOutcome) -> u32 {
+        run.outcomes.iter().map(|o| o.attempts).sum()
+    }
+
+    #[test]
+    fn pipelined_output_matches_reference() {
+        let (t, f) = setup(20_000);
+        let mut gpu = Gpu::new(DeviceSpec::rtx3090());
+        let plan = PipelinePlan::new(&t, 0, LaunchConfig::new(1024, 256), 4, 4);
+        let run = pipelined(&mut gpu, &t, &f, &plan, ExecMode::Functional);
+        let expect = mttkrp_seq(&t, &f, 0);
+        assert!(
+            run.output.max_abs_diff(&expect) < 1e-2,
+            "diff {}",
+            run.output.max_abs_diff(&expect)
+        );
+        assert!(run.timeline.validate().is_ok());
+        // Memory fully released.
+        assert_eq!(gpu.memory().used(), 0);
+    }
+
+    #[test]
+    fn sync_output_matches_reference() {
+        let (t, f) = setup(10_000);
+        let mut gpu = Gpu::new(DeviceSpec::rtx3090());
+        let cfg = LaunchConfig::parti_default(t.nnz());
+        let run = sync(&mut gpu, &t, &f, cfg, KernelChoice::CooAtomic, ExecMode::Functional);
+        let expect = mttkrp_seq(&t, &f, 0);
+        assert!(run.output.max_abs_diff(&expect) < 1e-2);
+    }
+
+    #[test]
+    fn pipelining_beats_sync_end_to_end() {
+        // At paper-like scale the transfer and kernel times are comparable,
+        // so overlap pays; timing-only execution keeps the test fast.
+        let dims = [2_000u32, 1_500, 1_000];
+        let mut t = scalfrag_tensor::gen::uniform(&dims, 400_000, 31);
+        t.sort_for_mode(0);
+        let f = FactorSet::random(&dims, 16, 32);
+        let cfg = LaunchConfig::new(2048, 256);
+
+        let mut g1 = Gpu::new(DeviceSpec::rtx3090());
+        let synced = sync(&mut g1, &t, &f, cfg, KernelChoice::Tiled, ExecMode::Dry);
+
+        let mut g2 = Gpu::new(DeviceSpec::rtx3090());
+        let plan = PipelinePlan::new(&t, 0, cfg, 4, 4);
+        let piped = pipelined(&mut g2, &t, &f, &plan, ExecMode::Dry);
+
+        assert!(
+            piped.makespan() < synced.makespan(),
+            "pipelined {} should beat sync {}",
+            piped.makespan(),
+            synced.makespan()
+        );
+        let overlap = piped.timeline.overlap_ratio();
+        assert!(overlap > 0.1, "overlap {overlap}");
+    }
+
+    #[test]
+    fn dry_and_functional_runs_report_identical_times_and_traces() {
+        // The dry-mode regression contract: for a fault-free plan, a dry
+        // run must report exactly the simulated times (and therefore the
+        // trace fingerprint) of the functional run.
+        let (t, f) = setup(10_000);
+        let cfg = LaunchConfig::new(1024, 256);
+        let plan = PipelinePlan::new(&t, 0, cfg, 4, 2);
+        let mut g1 = Gpu::new(DeviceSpec::rtx3090());
+        let wet = pipelined(&mut g1, &t, &f, &plan, ExecMode::Functional);
+        let mut g2 = Gpu::new(DeviceSpec::rtx3090());
+        let dry = pipelined(&mut g2, &t, &f, &plan, ExecMode::Dry);
+        assert_eq!(wet.makespan(), dry.makespan());
+        assert!(!wet.trace.is_empty() && !dry.trace.is_empty());
+        assert_eq!(
+            wet.trace.fingerprint(),
+            dry.trace.fingerprint(),
+            "dry and functional runs must execute the identical schedule"
+        );
+        assert_eq!(dry.output.frob_norm(), 0.0, "dry runs compute nothing");
+    }
+
+    #[test]
+    fn single_segment_single_stream_degenerates_to_sync_shape() {
+        let (t, f) = setup(5_000);
+        let cfg = LaunchConfig::new(512, 256);
+        let mut gpu = Gpu::new(DeviceSpec::rtx3090());
+        let plan = PipelinePlan::new(&t, 0, cfg, 1, 1);
+        let run = pipelined(&mut gpu, &t, &f, &plan, ExecMode::Functional);
+        // One segment: H2D factors, H2D seg, kernel, D2H = 4 spans.
+        assert_eq!(run.timeline.spans.len(), 4);
+        assert!(run.timeline.overlap_ratio() < 0.05);
+    }
+
+    #[test]
+    fn works_for_every_mode_and_4way() {
+        let dims = [40u32, 30, 20, 10];
+        let f = FactorSet::random(&dims, 8, 5);
+        for mode in 0..4 {
+            let mut t = scalfrag_tensor::gen::uniform(&dims, 3_000, 9);
+            t.sort_for_mode(mode);
+            let mut gpu = Gpu::new(DeviceSpec::rtx3090());
+            let plan = PipelinePlan::new(&t, mode, LaunchConfig::new(256, 128), 3, 2);
+            let run = pipelined(&mut gpu, &t, &f, &plan, ExecMode::Functional);
+            let expect = mttkrp_seq(&t, &f, mode);
+            assert!(run.output.max_abs_diff(&expect) < 1e-2, "mode {mode}");
+        }
+    }
+
+    #[test]
+    fn more_streams_help_until_engines_saturate() {
+        // Fig. 11's mechanism: with 8 segments, 1 stream serialises
+        // everything, 4 streams overlap; beyond that gains flatten because
+        // there is one H2D engine and one compute engine.
+        let dims = [2_000u32, 1_500, 1_000];
+        let mut t = scalfrag_tensor::gen::uniform(&dims, 400_000, 33);
+        t.sort_for_mode(0);
+        let f = FactorSet::random(&dims, 16, 34);
+        let cfg = LaunchConfig::new(2048, 256);
+        let mut times = Vec::new();
+        for streams in [1usize, 2, 4, 8] {
+            let mut gpu = Gpu::new(DeviceSpec::rtx3090());
+            let plan = PipelinePlan::new(&t, 0, cfg, 8, streams);
+            times.push(pipelined(&mut gpu, &t, &f, &plan, ExecMode::Dry).makespan());
+        }
+        assert!(times[1] < times[0], "2 streams should beat 1: {times:?}");
+        let gain_12 = times[0] / times[1];
+        let gain_48 = times[2] / times[3];
+        assert!(gain_48 < gain_12, "stream gains should flatten: {times:?}");
+    }
+
+    #[test]
+    fn plan_renders_a_typed_ir_dump() {
+        let (t, f) = setup(5_000);
+        let plan = PipelinePlan::new(&t, 0, LaunchConfig::new(512, 256), 4, 2);
+        let p = build_pipelined_plan(&DeviceSpec::rtx3090(), &t, &f, &plan, KernelChoice::Tiled);
+        let dump = p.render();
+        assert!(dump.contains("H2D"), "dump:\n{dump}");
+        assert!(dump.contains("Launch"), "dump:\n{dump}");
+        assert!(dump.contains("Barrier"), "dump:\n{dump}");
+        assert!(dump.contains("output D2H"), "dump:\n{dump}");
+    }
+
+    #[test]
+    fn fault_free_resilient_is_bit_identical_to_pipelined() {
+        let (t, f) = setup(20_000);
+        let plan = pplan(&t);
+        let mut g1 = Gpu::new(DeviceSpec::rtx3090());
+        let base = pipelined(&mut g1, &t, &f, &plan, ExecMode::Functional);
+        let mut g2 = Gpu::new(DeviceSpec::rtx3090());
+        let mut inj = FaultInjector::inert();
+        let run = resilient(&mut g2, &t, &f, &plan, &mut inj, RetryPolicy::default());
+        assert!(run.all_complete());
+        assert_eq!(total_attempts(&run), 4, "clean run: one attempt per segment");
+        assert_eq!(
+            bits(&base.output),
+            bits(&run.output),
+            "fault-free resilient execution must be bit-identical"
+        );
+    }
+
+    #[test]
+    fn corruption_and_abort_recover_with_identical_output() {
+        let (t, f) = setup(20_000);
+        let plan = pplan(&t);
+        let mut g1 = Gpu::new(DeviceSpec::rtx3090());
+        let base = pipelined(&mut g1, &t, &f, &plan, ExecMode::Functional);
+
+        let faults = FaultPlan::new()
+            .fault(0, FaultTrigger::AtOp(2), FaultKind::TransferCorruption)
+            .fault(0, FaultTrigger::AtOp(5), FaultKind::KernelAbort);
+        let mut inj = FaultInjector::new(faults);
+        let mut g2 = Gpu::new(DeviceSpec::rtx3090());
+        let run = resilient(&mut g2, &t, &f, &plan, &mut inj, RetryPolicy::default());
+        assert!(run.all_complete(), "two recoverable faults must not lose work");
+        assert!(total_attempts(&run) > 4, "recovery must show in the attempt count");
+        assert_eq!(inj.log().injected(), 2);
+        assert!(inj.log().recoveries() > 0);
+        assert_eq!(
+            bits(&base.output),
+            bits(&run.output),
+            "recovered run must be bit-identical to fault-free"
+        );
+    }
+
+    #[test]
+    fn no_retry_loses_the_faulted_segment() {
+        let (t, f) = setup(20_000);
+        let plan = pplan(&t);
+        let faults =
+            FaultPlan::new().fault(0, FaultTrigger::AtOp(2), FaultKind::TransferCorruption);
+        let mut inj = FaultInjector::new(faults);
+        let mut gpu = Gpu::new(DeviceSpec::rtx3090());
+        let run = resilient(&mut gpu, &t, &f, &plan, &mut inj, RetryPolicy::no_retry());
+        assert_eq!(run.failed_segments(), 1, "no-retry must lose exactly the faulted segment");
+        let mut g1 = Gpu::new(DeviceSpec::rtx3090());
+        let base = pipelined(&mut g1, &t, &f, &plan, ExecMode::Functional);
+        assert!(
+            run.output.max_abs_diff(&base.output) > 0.0,
+            "losing a segment must change the output"
+        );
+    }
+
+    #[test]
+    fn transient_device_failure_is_waited_out() {
+        let (t, f) = setup(20_000);
+        let plan = pplan(&t);
+        let faults = FaultPlan::new().fault(
+            0,
+            FaultTrigger::AtOp(3),
+            FaultKind::DeviceFail { down_s: Some(2e-3) },
+        );
+        let mut inj = FaultInjector::new(faults);
+        let mut gpu = Gpu::new(DeviceSpec::rtx3090());
+        let run = resilient(&mut gpu, &t, &f, &plan, &mut inj, RetryPolicy::default());
+        assert!(run.all_complete(), "transient downtime must be recoverable");
+        // The downtime pushed later work past the recovery point.
+        assert!(gpu.clock() >= 2e-3);
+    }
+
+    #[test]
+    fn permanent_failure_loses_remaining_segments() {
+        let (t, f) = setup(20_000);
+        let plan = pplan(&t);
+        let faults = FaultPlan::new().fault(
+            0,
+            FaultTrigger::AtOp(0),
+            FaultKind::DeviceFail { down_s: None },
+        );
+        let mut inj = FaultInjector::new(faults);
+        let mut gpu = Gpu::new(DeviceSpec::rtx3090());
+        let run = resilient(&mut gpu, &t, &f, &plan, &mut inj, RetryPolicy::default());
+        assert_eq!(run.completed_segments, 0, "a dead device completes nothing");
+        assert_eq!(run.output.frob_norm(), 0.0);
+    }
+}

@@ -13,30 +13,30 @@
 //!    adapts to what fits ([`PipelinePlan::auto`]).
 //! 3. **Streamed transfer + compute** — each segment's H2D copy and kernel
 //!    launch are issued on one of `num_streams` CUDA-style streams, so
-//!    segment *k+1* transfers while segment *k* computes ([`executor`]).
+//!    segment *k+1* transfers while segment *k* computes
+//!    ([`build_pipelined_plan`]).
 //! 4. **Result synchronisation** — a single D2H copy, ordered after every
 //!    kernel through events, returns the output matrix.
 //! 5. **Hybrid execution** — optionally, the low-parallelism slices run on
-//!    the host CPU while the device processes the bulk ([`hybrid`]).
+//!    the host CPU while the device processes the bulk ([`hybrid`],
+//!    [`build_hybrid_plan`]).
 //!
-//! Since the ScheduleIR refactor this crate is a *plan builder*: every
-//! schedule lowers to a [`scalfrag_exec::Plan`] ([`builders`]) and the
-//! single interpreter in `scalfrag-exec` executes it. Dry runs are the
-//! interpreter's [`ExecMode::Dry`]; fault injection is its resilient
-//! mode.
+//! This crate only *builds plans*: every schedule lowers to a
+//! [`scalfrag_exec::Plan`] ([`builders`]), and callers execute it with the
+//! single interpreter in `scalfrag-exec` — `run_plan_on` for a fault-free
+//! run, `run_plan_resilient_on` under fault injection — and read the
+//! [`scalfrag_exec::ExecOutcome`] directly. Dry runs are the
+//! interpreter's [`ExecMode::Dry`].
 
 pub mod builders;
-pub mod executor;
 pub mod hybrid;
 pub mod plan;
-pub mod resilient;
 
 pub use builders::{
     balance_plan_builders, batched_plan_builders, build_balance_flycoo_plan,
     build_balance_segscan_plan, build_batched_plan, build_hybrid_plan, build_pipelined_plan,
     build_sync_plan, plan_builders, BatchedJobSpec,
 };
-pub use executor::{execute_pipelined, execute_sync, ExecMode, KernelChoice, PipelineRun};
-pub use hybrid::{execute_hybrid, split_by_slice_population, HybridSplit};
+pub use hybrid::{split_by_slice_population, HybridSplit};
 pub use plan::PipelinePlan;
-pub use resilient::{execute_pipelined_resilient, ResilientRun, RetryPolicy, SegmentOutcome};
+pub use scalfrag_exec::{ExecMode, KernelChoice};

@@ -21,12 +21,12 @@ use crate::ScalFragServer;
 use scalfrag_autotune::prefer_batched;
 use scalfrag_cluster::NodeSpec;
 use scalfrag_core::PhaseTiming;
-use scalfrag_exec::{run_plan, PlanBuilder};
+use scalfrag_exec::{run_plan, run_plan_on, PlanBuilder};
 use scalfrag_faults::{DeviceHealth, FaultInjector, OpClass, OpVerdict, RecoveryAction};
 use scalfrag_gpusim::{DeviceSpec, Gpu, LaunchConfig, SpanKind};
 use scalfrag_pipeline::plan::MAX_SEGMENTS;
 use scalfrag_pipeline::{
-    build_batched_plan, build_pipelined_plan, execute_hybrid, split_by_slice_population,
+    build_batched_plan, build_hybrid_plan, build_pipelined_plan, split_by_slice_population,
     BatchedJobSpec, ExecMode, KernelChoice, PipelinePlan,
 };
 use scalfrag_tensor::{segment, CooTensor, FeatureKey, TensorFeatures};
@@ -541,10 +541,9 @@ impl ScalFragServer {
             // dispatch loop caps such groups at one member.
             assert_eq!(group.size(), 1, "hybrid dispatch is solo by construction");
             let m = &group.members[0];
-            let mut gpu = Gpu::new(device.clone());
             let split = split_by_slice_population(&m.job.tensor, m.job.mode, threshold);
-            let run = execute_hybrid(
-                &mut gpu,
+            let hybrid = build_hybrid_plan(
+                device,
                 &split,
                 &m.job.factors,
                 m.job.mode,
@@ -552,8 +551,8 @@ impl ScalFragServer {
                 plan.segments,
                 plan.streams,
                 plan.kernel,
-                ExecMode::Functional,
             );
+            let run = run_plan_on(&mut Gpu::new(device.clone()), &hybrid, ExecMode::Functional);
             let timing =
                 PhaseTiming::from_timeline(&run.timeline).with_queue(group_start - m.job.arrival_s);
             let finish_s = group_start + plan_s + timing.total_s;

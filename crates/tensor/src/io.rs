@@ -183,7 +183,7 @@ mod tests {
     fn file_round_trip() {
         let dir = std::env::temp_dir().join("scalfrag_io_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.tns");
+        let path = dir.join(format!("file_round_trip-{}.tns", std::process::id()));
         let orig = CooTensor::random_uniform(&[5, 5], 10, 3);
         write_tns_file(&orig, &path).unwrap();
         let back = read_tns_file(&path).unwrap();

@@ -4,10 +4,9 @@
 //!
 //! Run with `cargo run --release --example pipeline_overlap`.
 
-use scalfrag::exec::ExecMode;
-use scalfrag::gpusim::{DeviceSpec, Gpu};
+use scalfrag::gpusim::DeviceSpec;
 use scalfrag::kernels::FactorSet;
-use scalfrag::pipeline::{execute_pipelined, execute_sync, KernelChoice, PipelinePlan};
+use scalfrag::pipeline::{build_pipelined_plan, build_sync_plan, KernelChoice, PipelinePlan};
 use scalfrag::prelude::*;
 
 fn main() {
@@ -20,23 +19,22 @@ fn main() {
     let cfg = LaunchConfig::new(4096, 256);
 
     // --- The ParTI-style synchronous schedule (§III-B). ---
-    let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-    let sync =
-        execute_sync(&mut gpu, &tensor, &factors, 0, cfg, KernelChoice::Tiled, ExecMode::Dry);
+    let device = DeviceSpec::rtx3090();
+    let sync = build_sync_plan(&device, &tensor, &factors, 0, cfg, KernelChoice::Tiled);
+    let sync = run_plan(&sync, ExecMode::Dry);
     println!("synchronous schedule ({}):", scalfrag_fmt(sync.makespan()));
     println!("{}", sync.timeline.ascii_gantt(90));
 
     // --- The ScalFrag pipeline: 4 segments on 4 streams. ---
     let plan = PipelinePlan::new(&tensor, 0, cfg, 4, 4);
-    let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-    let piped =
-        execute_pipelined(&mut gpu, &tensor, &factors, &plan, KernelChoice::Tiled, ExecMode::Dry);
+    let piped = build_pipelined_plan(&device, &tensor, &factors, &plan, KernelChoice::Tiled);
+    let piped = run_plan(&piped, ExecMode::Dry);
     println!(
         "pipelined schedule, {} segments / {} streams ({}; overlap {:.0}%):",
         plan.num_segments(),
         plan.num_streams,
         scalfrag_fmt(piped.makespan()),
-        piped.overlap_ratio() * 100.0
+        piped.timeline.overlap_ratio() * 100.0
     );
     println!("{}", piped.timeline.ascii_gantt(90));
     println!("speedup over the synchronous schedule: {:.2}x\n", sync.makespan() / piped.makespan());
@@ -52,16 +50,8 @@ fn main() {
         print!("{segments:>10}");
         for streams in [1usize, 2, 4, 8] {
             let plan = PipelinePlan::new(&tensor, 0, cfg, segments, streams);
-            let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-            let run = execute_pipelined(
-                &mut gpu,
-                &tensor,
-                &factors,
-                &plan,
-                KernelChoice::Tiled,
-                ExecMode::Dry,
-            );
-            print!("{:>11}", scalfrag_fmt(run.makespan()));
+            let plan = build_pipelined_plan(&device, &tensor, &factors, &plan, KernelChoice::Tiled);
+            print!("{:>11}", scalfrag_fmt(run_plan(&plan, ExecMode::Dry).makespan()));
         }
         println!();
     }

@@ -245,15 +245,14 @@ fn cmd_trace(tensor: &CooTensor, args: &Args) {
         4,
         4,
     );
-    let mut gpu = scalfrag::gpusim::Gpu::new(DeviceSpec::rtx3090());
-    let run = scalfrag::pipeline::execute_pipelined(
-        &mut gpu,
+    let plan = scalfrag::pipeline::build_pipelined_plan(
+        &DeviceSpec::rtx3090(),
         &sorted,
         &factors,
         &plan,
         scalfrag::pipeline::KernelChoice::Tiled,
-        scalfrag::exec::ExecMode::Dry,
     );
+    let run = scalfrag::exec::run_plan(&plan, scalfrag::exec::ExecMode::Dry);
     let path = args.out.clone().unwrap_or_else(|| "scalfrag_trace.json".into());
     let file = std::fs::File::create(&path).expect("create trace file");
     trace::write_chrome_trace(&run.timeline, file).expect("write trace");

@@ -27,7 +27,10 @@
 //! * [`exec`] — the ScheduleIR execution engine: every path above lowers
 //!   to one typed [`exec::Plan`] DAG, and one fault-aware interpreter
 //!   executes it (dry-run, retry/backoff and shard re-placement are
-//!   interpreter modes, not separate code paths).
+//!   interpreter modes, not separate code paths). The schedule crates
+//!   only build plans; callers run them with `exec::run_plan*` and read
+//!   the [`exec::ExecOutcome`], and the facades in [`core`] turn that
+//!   outcome into the one report shape, [`core::MttkrpReport`].
 //! * [`opt`] — the pass-based plan optimizer over the ScheduleIR:
 //!   transfer coalescing, copy/compute overlap re-streaming, dead-op
 //!   elimination, eviction sinking / prefetch hoisting, each with a
@@ -57,8 +60,9 @@
 //!   invariant catalogue, and the simulated-race checker driver.
 //! * [`faults`] — deterministic fault injection (device failures, transfer
 //!   corruption, kernel aborts, stragglers) and the recovery machinery:
-//!   segment retries in [`pipeline`], shard re-placement in [`cluster`],
-//!   job requeue in [`serve`] and checkpoint/rollback in [`kernels`].
+//!   segment retries and shard re-placement in the [`exec`] interpreter
+//!   (placed by [`cluster`]'s policies), job requeue in [`serve`] and
+//!   checkpoint/rollback in [`kernels`].
 //!
 //! ## Quickstart
 //!
@@ -98,22 +102,21 @@ pub use scalfrag_tensor as tensor;
 /// Convenient glob-importable re-exports of the most used types.
 pub mod prelude {
     pub use scalfrag_cluster::{
-        execute_cluster_resilient, DeviceScheduler, FaultRecoveryPolicy, Interconnect, NodeSpec,
-        RecoveryMode, ResilientClusterRun, ShardPolicy,
+        build_cluster_plan, ClusterOptions, DeviceScheduler, FaultRecoveryPolicy, Interconnect,
+        NodeSpec, RecoveryMode, ShardPolicy,
     };
     pub use scalfrag_conformance::{oracle_mttkrp, run_differential, ConformanceReport};
-    pub use scalfrag_core::{
-        ClusterMttkrpReport, ClusterScalFrag, MttkrpReport, Parti, ResilientClusterMttkrpReport,
-        ScalFrag,
+    pub use scalfrag_core::{ClusterScalFrag, DeviceReport, MttkrpReport, Parti, ScalFrag};
+    pub use scalfrag_exec::{
+        run_plan, run_plan_resilient, ExecMode, ExecOutcome, Plan, PlanBuilder, PlanTrace,
+        RetryPolicy,
     };
-    pub use scalfrag_exec::{run_plan, ExecMode, Plan, PlanBuilder, PlanTrace};
     pub use scalfrag_faults::{
         DeviceHealth, FaultInjector, FaultKind, FaultLog, FaultPlan, FaultTrigger,
     };
     pub use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
     pub use scalfrag_kernels::{FactorSet, MttkrpBackend};
     pub use scalfrag_linalg::Mat;
-    pub use scalfrag_pipeline::RetryPolicy;
     pub use scalfrag_serve::{
         AdmissionPolicy, DevicePool, MttkrpJob, ScalFragServer, ServeReport, WorkloadSpec,
     };

@@ -6,10 +6,16 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_scalfrag-cli"))
 }
 
-fn write_sample_tns() -> std::path::PathBuf {
+/// A scratch path private to one test of one process, so tests running
+/// in parallel never read each other's half-written files.
+fn scratch_path(test: &str, ext: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("scalfrag_cli_tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sample.tns");
+    dir.join(format!("{test}-{}.{ext}", std::process::id()))
+}
+
+fn write_sample_tns(test: &str) -> std::path::PathBuf {
+    let path = scratch_path(test, "tns");
     let t = scalfrag::tensor::gen::zipf_slices(&[40, 30, 20], 1_500, 0.8, 13);
     scalfrag::tensor::io::write_tns_file(&t, &path).unwrap();
     path
@@ -17,7 +23,7 @@ fn write_sample_tns() -> std::path::PathBuf {
 
 #[test]
 fn info_reports_tensor_and_features() {
-    let path = write_sample_tns();
+    let path = write_sample_tns("info_reports_tensor_and_features");
     let out = cli().args(["info", path.to_str().unwrap()]).output().unwrap();
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
@@ -25,6 +31,7 @@ fn info_reports_tensor_and_features() {
     assert!(text.contains("nnz       : 1500"));
     assert!(text.contains("numSlices"));
     assert!(text.contains("sliceImbalance"));
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -37,7 +44,7 @@ fn info_on_preset_works() {
 
 #[test]
 fn mttkrp_runs_on_cpu_and_parti_backends() {
-    let path = write_sample_tns();
+    let path = write_sample_tns("mttkrp_runs_on_cpu_and_parti_backends");
     for backend in ["cpu", "parti"] {
         let out = cli()
             .args(["mttkrp", path.to_str().unwrap(), "--backend", backend, "--rank", "4"])
@@ -47,11 +54,12 @@ fn mttkrp_runs_on_cpu_and_parti_backends() {
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(text.contains("mode-0"), "{backend}: {text}");
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn cpd_reports_fits() {
-    let path = write_sample_tns();
+    let path = write_sample_tns("cpd_reports_fits");
     let out = cli()
         .args(["cpd", path.to_str().unwrap(), "--backend", "cpu", "--rank", "3", "--iters", "2"])
         .output()
@@ -60,12 +68,13 @@ fn cpd_reports_fits() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("sweep  1"));
     assert!(text.contains("fit"));
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn trace_writes_chrome_json() {
-    let path = write_sample_tns();
-    let trace_path = std::env::temp_dir().join("scalfrag_cli_tests").join("t.json");
+    let path = write_sample_tns("trace_writes_chrome_json");
+    let trace_path = scratch_path("trace_writes_chrome_json", "json");
     let out = cli()
         .args(["trace", path.to_str().unwrap(), "--out", trace_path.to_str().unwrap()])
         .output()
@@ -75,6 +84,7 @@ fn trace_writes_chrome_json() {
     assert!(json.contains("\"ph\":\"X\""));
     assert!(json.contains("seg0 kernel"));
     std::fs::remove_file(&trace_path).ok();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -91,8 +101,9 @@ fn bad_arguments_exit_nonzero() {
 
 #[test]
 fn mode_out_of_range_is_rejected() {
-    let path = write_sample_tns();
+    let path = write_sample_tns("mode_out_of_range_is_rejected");
     let out = cli().args(["info", path.to_str().unwrap(), "--mode", "9"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
+    std::fs::remove_file(&path).ok();
 }

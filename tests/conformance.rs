@@ -316,6 +316,6 @@ fn regression_resilient_retry_has_no_double_accumulation() {
     let run = build().mttkrp_resilient(&t, &f, 0, &mut inj, &FaultRecoveryPolicy::retry_reshard());
     assert_eq!(run.failed_segments, 0);
     assert!(run.retries > 0, "the plan must actually force retries");
-    let w = max_ulp(clean.as_slice(), run.report.output.as_slice());
+    let w = max_ulp(clean.as_slice(), run.output.as_slice());
     assert_eq!(w.max_ulp, 0, "retried output differs from fault-free bits by {} ulp", w.max_ulp);
 }

@@ -64,7 +64,7 @@ fn multi_gpu_timelines_are_bit_identical_across_runs() {
             .shards(4)
             .build();
         let r = ctx.mttkrp_dry(&t, &f, 0);
-        (r.per_device.clone(), r.assignments.clone(), r.reduction_s, r.total_s)
+        (r.devices, r.reduction_s, r.timing.total_s)
     };
     assert_eq!(run(), run());
     // The parallel runtime is now a real work-stealing pool, so the old
@@ -73,8 +73,8 @@ fn multi_gpu_timelines_are_bit_identical_across_runs() {
     // simulated schedule is a pure function of the plan, not of how many
     // workers happened to execute it.
     scalfrag::host::check::assert_thread_invariant("cluster-dry-timeline", || {
-        let (per_device, assignments, reduction_s, total_s) = run();
-        (per_device, assignments, reduction_s.to_bits(), total_s.to_bits())
+        let (devices, reduction_s, total_s) = run();
+        (devices, reduction_s.to_bits(), total_s.to_bits())
     });
 }
 

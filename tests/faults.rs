@@ -5,7 +5,6 @@
 //! produce the identical fault log.
 
 use proptest::prelude::*;
-use scalfrag::cluster::{execute_cluster, ClusterOptions};
 use scalfrag::faults::mat_checksum;
 use scalfrag::kernels::{
     cpd_als, cpd_als_checkpointed, CheckpointConfig, CpuSequentialBackend, ScriptedFailureBackend,
@@ -20,6 +19,11 @@ fn node() -> NodeSpec {
 
 fn opts() -> ClusterOptions {
     ClusterOptions::new(LaunchConfig::new(512, 256), 4)
+}
+
+/// The cluster plan of one workload on the test node.
+fn cluster_plan(tensor: &CooTensor, factors: &FactorSet) -> Plan {
+    build_cluster_plan(&node(), tensor, factors, 0, &opts())
 }
 
 fn workload(seed: u64) -> (CooTensor, FactorSet) {
@@ -42,7 +46,8 @@ proptest! {
         mtbf in 3u64..10,
     ) {
         let (tensor, factors) = workload(data_seed);
-        let clean = execute_cluster(&node(), &tensor, &factors, 0, &opts(), ExecMode::Functional);
+        let cluster_plan = cluster_plan(&tensor, &factors);
+        let clean = run_plan(&cluster_plan, ExecMode::Functional);
 
         let plan = FaultPlan::seeded_storm(seed, DEVICES, mtbf, 24, /* recoverable_only */ true);
         // Every scheduled fault costs at most one attempt, so this budget
@@ -51,13 +56,11 @@ proptest! {
             .with_retry(RetryPolicy::with_attempts(plan.len() as u32 + 4));
 
         let mut inj = FaultInjector::new(plan.clone());
-        let run = execute_cluster_resilient(
-            &node(), &tensor, &factors, 0, &opts(), &mut inj, &policy, ExecMode::Functional,
-        );
+        let run = run_plan_resilient(&cluster_plan, &mut inj, &policy, ExecMode::Functional);
         prop_assert!(
             run.all_complete(),
             "seed {seed} mtbf {mtbf}: {} segments lost under full recovery",
-            run.failed_segments
+            run.failed_segments()
         );
         prop_assert_eq!(
             mat_checksum(&run.output),
@@ -69,9 +72,7 @@ proptest! {
 
         // Replay: same plan, fresh injector -> identical log and bits.
         let mut replay = FaultInjector::new(plan);
-        let rerun = execute_cluster_resilient(
-            &node(), &tensor, &factors, 0, &opts(), &mut replay, &policy, ExecMode::Functional,
-        );
+        let rerun = run_plan_resilient(&cluster_plan, &mut replay, &policy, ExecMode::Functional);
         prop_assert_eq!(inj.log().fingerprint(), replay.log().fingerprint());
         prop_assert_eq!(mat_checksum(&run.output), mat_checksum(&rerun.output));
     }
@@ -94,17 +95,13 @@ fn no_retry_baseline_loses_work_under_a_storm() {
         .fault(1, FaultTrigger::AtOp(2), FaultKind::DeviceFail { down_s: None })
         .fault(0, FaultTrigger::AtOp(3), FaultKind::TransferCorruption);
     let mut inj = FaultInjector::new(plan);
-    let run = execute_cluster_resilient(
-        &node(),
-        &tensor,
-        &factors,
-        0,
-        &opts(),
+    let run = run_plan_resilient(
+        &cluster_plan(&tensor, &factors),
         &mut inj,
         &FaultRecoveryPolicy::no_retry(),
         ExecMode::Functional,
     );
-    assert!(run.failed_segments > 0, "no-retry must lose the dead device's segments");
+    assert!(!run.all_complete(), "no-retry must lose the dead device's segments");
     assert_eq!(run.dead_devices, vec![1]);
 }
 

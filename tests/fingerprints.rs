@@ -17,7 +17,6 @@
 
 use std::sync::Arc;
 
-use scalfrag::cluster::{execute_cluster_resilient, ClusterOptions};
 use scalfrag::faults::mat_checksum;
 use scalfrag::prelude::*;
 use scalfrag::tensor::gen;
@@ -82,22 +81,14 @@ fn fault_log_fingerprint_is_pinned() {
     let factors = FactorSet::random(&dims, 8, 52);
     let node = NodeSpec::homogeneous(DeviceSpec::rtx3090(), 3);
     let opts = ClusterOptions::new(LaunchConfig::new(512, 256), 6);
+    let cluster_plan = build_cluster_plan(&node, &tensor, &factors, 0, &opts);
     let run = || {
         let plan = FaultPlan::seeded_storm(53, 3, 4, 24, true);
         let policy = FaultRecoveryPolicy::retry_reshard()
             .with_retry(RetryPolicy::with_attempts(plan.len() as u32 + 4));
         let mut inj = FaultInjector::new(plan);
-        let run = execute_cluster_resilient(
-            &node,
-            &tensor,
-            &factors,
-            0,
-            &opts,
-            &mut inj,
-            &policy,
-            ExecMode::Functional,
-        );
-        assert_eq!(run.failed_segments, 0, "recoverable storm must recover");
+        let run = run_plan_resilient(&cluster_plan, &mut inj, &policy, ExecMode::Functional);
+        assert!(run.all_complete(), "recoverable storm must recover");
         inj.log().fingerprint()
     };
     let a = run();

@@ -1,10 +1,10 @@
-//! Integration coverage of the secondary formats (F-COO, HiCOO), SpTTM,
-//! slice reordering and the tooling layer (profiler, Chrome trace) through
+//! Integration coverage of the secondary formats (F-COO, HiCOO), slice
+//! reordering and the tooling layer (profiler, Chrome trace) through
 //! the facade crate.
 
 use scalfrag::gpusim::{profiler, trace, DeviceSpec, Gpu};
 use scalfrag::kernels::reference::mttkrp_seq;
-use scalfrag::kernels::{spttm, AtomicF32Buffer, FCooKernel, HiCooKernel};
+use scalfrag::kernels::{AtomicF32Buffer, FCooKernel, HiCooKernel};
 use scalfrag::prelude::*;
 use scalfrag::tensor::reorder::SliceOrder;
 use scalfrag::tensor::{FCooTensor, HiCooTensor};
@@ -64,35 +64,20 @@ fn mttkrp_after_slice_reordering_maps_back() {
 }
 
 #[test]
-fn spttm_composes_with_mttkrp_shapes() {
-    // SpTTM then reading fibers gives a semi-sparse tensor with the rank
-    // as the dense extent — the building block of Tucker-style chains.
-    let t = tensor();
-    let f = FactorSet::random(t.dims(), 8, 80);
-    let semi = spttm::spttm_with_factor(&t, &f, 2);
-    assert_eq!(semi.r(), 8);
-    assert_eq!(semi.mode(), 2);
-    assert_eq!(semi.num_fibers(), t.num_fibers(2));
-    let back = semi.to_coo();
-    assert_eq!(back.dims()[2], 8);
-    assert!(back.nnz() > 0);
-}
-
-#[test]
 fn profiler_and_trace_cover_a_real_pipeline_run() {
     let mut t = tensor();
     t.sort_for_mode(0);
     let f = FactorSet::random(t.dims(), 8, 81);
     let plan = scalfrag::pipeline::PipelinePlan::new(&t, 0, LaunchConfig::new(1024, 256), 4, 4);
-    let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-    let run = scalfrag::pipeline::execute_pipelined(
-        &mut gpu,
+    let plan = scalfrag::pipeline::build_pipelined_plan(
+        &DeviceSpec::rtx3090(),
         &t,
         &f,
         &plan,
         scalfrag::pipeline::KernelChoice::Tiled,
-        scalfrag::exec::ExecMode::Dry,
     );
+    let mut gpu = Gpu::new(DeviceSpec::rtx3090());
+    let run = scalfrag::exec::run_plan_on(&mut gpu, &plan, scalfrag::exec::ExecMode::Dry);
 
     let p = profiler::profile(&run.timeline);
     assert_eq!(p.by_label.iter().filter(|(l, _)| l.contains("kernel")).count(), 4);

@@ -43,16 +43,15 @@ fn sync_execution_panics_when_the_tensor_cannot_fit() {
     let f = FactorSet::random(t.dims(), 8, 3);
     let mut spec = DeviceSpec::rtx3090();
     spec.global_mem_bytes = 1_000; // absurdly small device
-    let mut gpu = Gpu::new(spec);
-    let _ = scalfrag::pipeline::execute_sync(
-        &mut gpu,
+    let plan = scalfrag::pipeline::build_sync_plan(
+        &spec,
         &t,
         &f,
         0,
         LaunchConfig::new(256, 128),
         scalfrag::pipeline::KernelChoice::Tiled,
-        ExecMode::Functional,
     );
+    let _ = scalfrag::exec::run_plan_on(&mut Gpu::new(spec), &plan, ExecMode::Functional);
 }
 
 #[test]
@@ -108,9 +107,8 @@ fn hybrid_with_everything_on_cpu_matches() {
     let f = FactorSet::random(t.dims(), 4, 9);
     let split = scalfrag::pipeline::split_by_slice_population(&t, 0, u32::MAX);
     assert_eq!(split.gpu_part.nnz(), 0);
-    let mut gpu = Gpu::new(DeviceSpec::rtx3090());
-    let run = scalfrag::pipeline::execute_hybrid(
-        &mut gpu,
+    let plan = scalfrag::pipeline::build_hybrid_plan(
+        &DeviceSpec::rtx3090(),
         &split,
         &f,
         0,
@@ -118,6 +116,10 @@ fn hybrid_with_everything_on_cpu_matches() {
         2,
         2,
         scalfrag::pipeline::KernelChoice::Tiled,
+    );
+    let run = scalfrag::exec::run_plan_on(
+        &mut Gpu::new(DeviceSpec::rtx3090()),
+        &plan,
         ExecMode::Functional,
     );
     let expect = scalfrag::kernels::reference::mttkrp_seq(&t, &f, 0);
