@@ -19,9 +19,9 @@ cargo test -q
 echo "==> compile-check examples"
 cargo build --release --examples
 
-echo "==> serving-layer smoke test (batch fusion >=1.5x + snapshot warm start; writes results/BENCH_serve.json)"
+echo "==> serving-layer smoke test (batch fusion >=1.5x + snapshot warm start; writes target/bench-smoke/BENCH_serve.json)"
 cargo run --release -q -p scalfrag-bench --bin serve_load -- --smoke
-test -s results/BENCH_serve.json || { echo "BENCH_serve.json missing"; exit 1; }
+test -s target/bench-smoke/BENCH_serve.json || { echo "BENCH_serve.json missing"; exit 1; }
 
 echo "==> fault-storm smoke test"
 cargo run --release -q -p scalfrag-bench --bin fault_storm -- --smoke
@@ -32,17 +32,17 @@ cargo run --release -q -p scalfrag-bench --bin conformance -- --smoke
 echo "==> plan-dump smoke test (every plan builder lowers to a stable non-empty trace)"
 cargo run --release -q -p scalfrag-bench --bin plan_dump -- --smoke
 
-echo "==> optimizer smoke test (nonzero op reduction + bit-identical output; writes results/BENCH_opt.json)"
+echo "==> optimizer smoke test (nonzero op reduction + bit-identical output; writes target/bench-smoke/BENCH_opt.json)"
 cargo run --release -q -p scalfrag-bench --bin opt_bench -- --smoke
 
-echo "==> out-of-core smoke test (1B-nnz preset streams at footprint/8; writes results/BENCH_oom_stream.json)"
+echo "==> out-of-core smoke test (1B-nnz preset streams at footprint/8; writes target/bench-smoke/BENCH_oom_stream.json)"
 cargo run --release -q -p scalfrag-bench --bin oom_stream -- --smoke
 
-echo "==> balance-arm smoke test (predictor picks balanced on the skewed preset at >=1.2x; writes results/BENCH_balance.json)"
+echo "==> balance-arm smoke test (predictor picks balanced on the skewed preset at >=1.2x; writes target/bench-smoke/BENCH_balance.json)"
 cargo run --release -q -p scalfrag-bench --bin balance_bench -- --smoke
 
-echo "==> host-pool smoke test (bit-identical at pool sizes 1/2/4/8; >=1.5x corpus speedup at 4 threads when >=4 cores; writes results/BENCH_host.json)"
+echo "==> host-pool smoke test (bit-identical at pool sizes 1/2/4/8; >=1.5x corpus speedup at 4 threads when >=4 cores; writes target/bench-smoke/BENCH_host.json)"
 cargo run --release -q -p scalfrag-bench --bin host_bench -- --smoke
-test -s results/BENCH_host.json || { echo "BENCH_host.json missing"; exit 1; }
+test -s target/bench-smoke/BENCH_host.json || { echo "BENCH_host.json missing"; exit 1; }
 
 echo "CI green."

@@ -8,7 +8,8 @@
 //! feature buckets it fired on. Also reports the FLYCOO storage story:
 //! one tensor copy + per-mode remap tables vs one re-tiled copy per mode.
 //!
-//! All measurements land in `results/BENCH_balance.json`.
+//! All measurements land in `results/BENCH_balance.json` (under `--smoke`,
+//! in `target/bench-smoke/` instead, so CI leaves the tree clean).
 //!
 //! `balance_bench --smoke` (CI) asserts the acceptance gates:
 //!
@@ -23,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scalfrag_autotune::arms::{predict_arm, MttkrpObjective};
 use scalfrag_autotune::sweep::KernelFlavor;
+use scalfrag_bench::save_bench_json;
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
 use scalfrag_kernels::SegmentStats;
 use scalfrag_tensor::{gen, CooTensor, FeatureKey, FlycooTensor};
@@ -205,9 +207,7 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let path = "results/BENCH_balance.json";
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write(path, json).expect("write bench json");
+    let path = save_bench_json("balance", smoke, &json).expect("write bench json");
     println!("wrote {path}");
 
     println!(

@@ -4,7 +4,8 @@
 //! runner, the plan interpreter and every kernel format — at pool sizes
 //! 1/2/4/8 and records the speedup curve plus the bit-identity verdict.
 //!
-//! All measurements land in `results/BENCH_host.json`.
+//! All measurements land in `results/BENCH_host.json` (under `--smoke`, in
+//! `target/bench-smoke/` instead, so CI leaves the tree clean).
 //!
 //! `host_bench --smoke` (CI) asserts the acceptance gates:
 //!
@@ -16,6 +17,7 @@
 //!   has ≥ 4 cores; on smaller boxes the gate is recorded as SKIP with
 //!   the core count, never silently dropped.
 
+use scalfrag_bench::save_bench_json;
 use scalfrag_conformance::{kernel_backends, run_differential_parallel, smoke_corpus};
 use scalfrag_exec::{run_plan, ExecMode};
 use scalfrag_kernels::FactorSet;
@@ -193,9 +195,7 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let path = "results/BENCH_host.json";
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write(path, json).expect("write bench json");
+    let path = save_bench_json("host", smoke, &json).expect("write bench json");
     println!("wrote {path}");
 
     println!("\nhost_bench: PASS (bit-identical at every pool size; speedup gate: {speedup_gate})");

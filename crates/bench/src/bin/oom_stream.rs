@@ -1,7 +1,8 @@
 //! Out-of-core streaming bench: the ~1B-nnz synthetic preset executed
 //! under device-memory budgets far below its footprint.
 //!
-//! Three measurements, all written to `results/BENCH_oom_stream.json`:
+//! Three measurements, all written to `results/BENCH_oom_stream.json`
+//! (`target/bench-smoke/` under `--smoke`, so CI leaves the tree clean):
 //!
 //! * **peak-memory vs budget curve** — the virtual 1B-nnz plan dry-run at
 //!   budgets of footprint/{16, 8, 4, 2, 1} (smoke: /8 only), recording
@@ -19,6 +20,7 @@
 //! footprint with a bit-stable trace fingerprint and evictions actually
 //! occurring.
 
+use scalfrag_bench::save_bench_json;
 use scalfrag_conformance::{max_ulp, oracle_mttkrp, tolerance_for};
 use scalfrag_exec::{run_plan, ExecMode, KernelChoice};
 use scalfrag_gpusim::{DeviceSpec, LaunchConfig};
@@ -198,9 +200,7 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let path = "results/BENCH_oom_stream.json";
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write(path, json).expect("write bench json");
+    let path = save_bench_json("oom_stream", smoke, &json).expect("write bench json");
     println!("wrote {path}");
 
     println!(

@@ -1,5 +1,6 @@
 //! Plan-optimizer bench: every registered builder, raw vs optimized,
-//! written to `results/BENCH_opt.json`.
+//! written to `results/BENCH_opt.json` (`target/bench-smoke/` under
+//! `--smoke`, so CI leaves the tree clean).
 //!
 //! Per builder over the seeded bench tensor:
 //!
@@ -18,6 +19,7 @@
 //! builder, and a modelled-time speedup > 1 on both the pipelined and
 //! the out-of-core streaming builders.
 
+use scalfrag_bench::save_bench_json;
 use scalfrag_conformance::all_plan_builders;
 use scalfrag_exec::{run_plan, ExecMode, Plan};
 use scalfrag_kernels::FactorSet;
@@ -127,9 +129,7 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    std::fs::create_dir_all("results").expect("create results/");
-    let path = "results/BENCH_opt.json";
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    let path = save_bench_json("opt", smoke, &json).expect("write bench json");
     println!("\nwrote {path}");
 
     // The acceptance gate, asserted in smoke and full runs alike.

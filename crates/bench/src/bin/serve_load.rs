@@ -17,7 +17,8 @@
 //! 6. **Seeded load** — a 1,000,000-job stream (2,000 under `--smoke`)
 //!    against an autoscaled pool with per-tenant rate limits and a batch
 //!    window: p50/p99/p999, rejection rate and the batch-occupancy curve
-//!    land in `results/BENCH_serve.json`.
+//!    land in `results/BENCH_serve.json` (under `--smoke`, in
+//!    `target/bench-smoke/` instead, so CI leaves the tree clean).
 //!
 //! Regenerate with `cargo run --release -p scalfrag-bench --bin serve_load`
 //! (the full 1M-job run takes minutes). CI runs `serve_load --smoke`,
@@ -26,6 +27,7 @@
 //! typed rejections with bounded p99 under overload, deterministic
 //! replay of the load run).
 
+use scalfrag_bench::save_bench_json;
 use scalfrag_gpusim::DeviceSpec;
 use scalfrag_kernels::FactorSet;
 use scalfrag_serve::{
@@ -320,9 +322,7 @@ fn main() {
         load_jobs_n,
         smoke,
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_serve.json";
-    std::fs::write(path, json).expect("write bench json");
+    let path = save_bench_json("serve", smoke, &json).expect("write bench json");
     println!("wrote {path}");
 
     if smoke {

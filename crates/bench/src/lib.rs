@@ -103,6 +103,18 @@ pub fn write_svg(name: &str, svg: &str) -> std::io::Result<String> {
     Ok(path)
 }
 
+/// Writes a `BENCH_{name}.json` record, returning the path written. A full
+/// run updates the checked-in copy under `results/`; a `--smoke` run's
+/// short, noisy wall-clock numbers go under `target/bench-smoke/` instead,
+/// so CI leaves the tree clean.
+pub fn save_bench_json(name: &str, smoke: bool, json: &str) -> std::io::Result<String> {
+    let dir = if smoke { "target/bench-smoke" } else { "results" };
+    std::fs::create_dir_all(dir)?;
+    let path = format!("{dir}/BENCH_{name}.json");
+    std::fs::write(&path, json)?;
+    Ok(path)
+}
+
 /// Formats seconds adaptively (`µs` / `ms` / `s`).
 pub fn fmt_time(seconds: f64) -> String {
     let seconds = seconds + 0.0; // normalise -0.0 so it never prints a sign

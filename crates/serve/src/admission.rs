@@ -96,6 +96,12 @@ pub enum RejectReason {
         /// The configured sustained rate (jobs/s).
         rate_jobs_per_s: f64,
     },
+    /// The job's arrival time is NaN, infinite or negative, so it has no
+    /// place on the simulated clock.
+    InvalidArrival {
+        /// The arrival time as submitted.
+        arrival_s: f64,
+    },
 }
 
 /// A typed rejection: the serving layer's answer under overload — never a
@@ -108,9 +114,13 @@ pub struct Rejected {
     pub tenant: String,
     /// Why it was rejected.
     pub reason: RejectReason,
-    /// Suggested back-off before resubmitting (s).
+    /// Suggested back-off before resubmitting (s). It is 0 for
+    /// [`RejectReason::InvalidArrival`]: no back-off helps until the
+    /// job's arrival time is corrected.
     pub retry_after_s: f64,
-    /// When the rejection happened on the simulated clock (s).
+    /// When the rejection happened on the simulated clock (s). An
+    /// [`RejectReason::InvalidArrival`] rejection happens before the
+    /// clock starts, at 0; the reason keeps the submitted time.
     pub arrival_s: f64,
 }
 
@@ -128,6 +138,9 @@ impl std::fmt::Display for RejectReason {
             }
             RejectReason::RateLimited { rate_jobs_per_s } => {
                 write!(f, "tenant rate limit exceeded ({rate_jobs_per_s:.1} jobs/s)")
+            }
+            RejectReason::InvalidArrival { arrival_s } => {
+                write!(f, "invalid arrival time {arrival_s}")
             }
         }
     }

@@ -166,11 +166,21 @@ impl ScalFragServer {
         self.serve(jobs, Some(injector))
     }
 
-    fn serve(
-        &self,
-        mut jobs: Vec<MttkrpJob>,
-        mut injector: Option<&mut FaultInjector>,
-    ) -> ServeReport {
+    fn serve(&self, jobs: Vec<MttkrpJob>, mut injector: Option<&mut FaultInjector>) -> ServeReport {
+        // A job without a valid place on the clock is turned away before
+        // the stream is ordered; the rest is served as usual.
+        let (mut jobs, invalid): (Vec<_>, Vec<_>) =
+            jobs.into_iter().partition(|j| j.arrival_s.is_finite() && j.arrival_s >= 0.0);
+        let mut rejected: Vec<Rejected> = invalid
+            .into_iter()
+            .map(|job| Rejected {
+                job_id: job.id,
+                tenant: job.tenant,
+                reason: RejectReason::InvalidArrival { arrival_s: job.arrival_s },
+                retry_after_s: 0.0,
+                arrival_s: 0.0,
+            })
+            .collect();
         jobs.sort_by(|a, b| {
             a.arrival_s.partial_cmp(&b.arrival_s).expect("finite arrivals").then(a.id.cmp(&b.id))
         });
@@ -192,7 +202,6 @@ impl ScalFragServer {
         };
         let mut memo = PlannerMemo::default();
         let mut completed: Vec<JobRecord> = Vec::with_capacity(jobs.len());
-        let mut rejected: Vec<Rejected> = Vec::new();
         // Resubmitted jobs, sorted descending by (arrival, id, attempt) so
         // `pop()` yields the earliest; `job.arrival_s` is the resubmission
         // time, so these merge into the arrival stream like fresh jobs.
@@ -971,6 +980,33 @@ mod tests {
                 .iter()
                 .any(|r| matches!(r.reason, RejectReason::RateLimited { rate_jobs_per_s } if rate_jobs_per_s == 10.0)));
             assert_eq!(report.completed.len() + report.rejected.len(), 20);
+        }
+
+        #[test]
+        fn invalid_arrivals_are_rejected_and_the_rest_is_served() {
+            let server = ScalFragServer::builder()
+                .config(ServerConfig { admission: loose(), ..Default::default() })
+                .train_tiers(vec![3_000])
+                .build();
+            let mut jobs = synthesize(&burst_spec(8));
+            let (nan_id, neg_id) = (jobs[2].id, jobs[5].id);
+            jobs[2].arrival_s = f64::NAN;
+            jobs[5].arrival_s = -1.0;
+            let report = server.run(jobs);
+            assert_eq!(report.completed.len() + report.rejected.len(), 8);
+            assert_eq!(report.completed.len(), 6, "every valid job is served");
+            let mut invalid: Vec<_> = report
+                .rejected
+                .iter()
+                .filter(|r| matches!(r.reason, RejectReason::InvalidArrival { .. }))
+                .map(|r| r.job_id)
+                .collect();
+            invalid.sort_unstable();
+            assert_eq!(invalid, vec![nan_id, neg_id]);
+            for r in report.rejected.iter().filter(|r| invalid.contains(&r.job_id)) {
+                assert_eq!((r.arrival_s, r.retry_after_s), (0.0, 0.0), "{r}");
+            }
+            assert!(report.completed.iter().all(|r| r.id != nan_id && r.id != neg_id));
         }
 
         #[test]

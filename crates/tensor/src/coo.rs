@@ -7,6 +7,8 @@
 
 use crate::{Idx, Val};
 use rand::Rng;
+use std::cmp::Ordering;
+use std::collections::HashSet;
 
 /// A sparse tensor in coordinate format.
 ///
@@ -143,21 +145,13 @@ impl CooTensor {
     }
 
     /// Sorts entries lexicographically by the given mode ordering
-    /// (e.g. `[1, 0, 2]` sorts by mode-1 index first).
+    /// (e.g. `[1, 0, 2]` sorts by mode-1 index first). The sort is stable:
+    /// entries with equal coordinates keep their original relative order.
     pub fn sort_by_order(&mut self, order: &[usize]) {
         assert_eq!(order.len(), self.order(), "ordering must mention every mode");
-        let mut perm: Vec<usize> = (0..self.nnz()).collect();
-        let inds = &self.inds;
-        perm.sort_unstable_by(|&a, &b| {
-            for &m in order {
-                match inds[m][a].cmp(&inds[m][b]) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        self.apply_permutation(&perm);
+        if let Some(perm) = self.sorted_positions(order) {
+            self.apply_permutation(&perm);
+        }
     }
 
     /// Sorts entries for mode-`n` processing: primary key mode `n`, then the
@@ -169,16 +163,7 @@ impl CooTensor {
 
     /// True when entries are sorted by the given mode ordering.
     pub fn is_sorted_by_order(&self, order: &[usize]) -> bool {
-        (1..self.nnz()).all(|e| {
-            for &m in order {
-                match self.inds[m][e - 1].cmp(&self.inds[m][e]) {
-                    std::cmp::Ordering::Less => return true,
-                    std::cmp::Ordering::Greater => return false,
-                    std::cmp::Ordering::Equal => continue,
-                }
-            }
-            true
-        })
+        (1..self.nnz()).all(|e| self.cmp_entries(order, e - 1, e).is_le())
     }
 
     /// Merges duplicate coordinates by summing their values.
@@ -209,6 +194,62 @@ impl CooTensor {
             iv.truncate(new_len);
         }
         self.vals.truncate(new_len);
+    }
+
+    /// Compares entries `a` and `b` lexicographically over `modes`.
+    fn cmp_entries(&self, modes: &[usize], a: usize, b: usize) -> Ordering {
+        modes
+            .iter()
+            .map(|&m| self.inds[m][a].cmp(&self.inds[m][b]))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// Entry positions in stable lexicographic order of their coordinates
+    /// over `modes`, or `None` when the entries are in that order already.
+    fn sorted_positions(&self, modes: &[usize]) -> Option<Vec<usize>> {
+        // The entry position is the key's least significant digit, so the
+        // radix sort moves plain keys and equal coordinates stay in
+        // position order.
+        let pos_bits = usize::BITS - self.nnz().saturating_sub(1).leading_zeros();
+        let Some(bits) =
+            key_bits(&self.dims, modes).map(|bits| bits + pos_bits).filter(|&b| b <= u64::BITS)
+        else {
+            return Some(self.comparator_positions(modes));
+        };
+        let mut keys = self.packed_keys(modes);
+        for (k, e) in keys.iter_mut().zip(0..) {
+            *k = *k << pos_bits | e;
+        }
+        if keys.is_sorted() {
+            return None;
+        }
+        radix_sort(&mut keys, pos_bits, bits);
+        let pos_mask = (1 << pos_bits) - 1;
+        Some(keys.iter().map(|&k| (k & pos_mask) as usize).collect())
+    }
+
+    /// The fallback for keys wider than 64 bits.
+    fn comparator_positions(&self, modes: &[usize]) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..self.nnz()).collect();
+        perm.sort_by(|&a, &b| self.cmp_entries(modes, a, b));
+        perm
+    }
+
+    /// Every entry's coordinate over `modes` as a mixed-radix key. A
+    /// coordinate over modes `m₁ … m_k` packs to
+    /// `(…(i₁·d₂ + i₂)·d₃ + …)·d_k + i_k`, so numeric key order is
+    /// lexicographic coordinate order and the largest key is `∏ d − 1`.
+    /// The caller checks that the span fits a `u64` ([`key_bits`]).
+    fn packed_keys(&self, modes: &[usize]) -> Vec<u64> {
+        let mut keys = vec![0; self.nnz()];
+        for &m in modes {
+            let radix = u64::from(self.dims[m]);
+            for (k, &i) in keys.iter_mut().zip(&self.inds[m]) {
+                *k = *k * radix + u64::from(i);
+            }
+        }
+        keys
     }
 
     fn apply_permutation(&mut self, perm: &[usize]) {
@@ -246,39 +287,24 @@ impl CooTensor {
         self.slice_nnz_histogram(mode).iter().filter(|&&c| c > 0).count()
     }
 
-    /// Counts distinct mode-`m` fibers: a fiber fixes every index except
-    /// mode `m`, so this is the number of distinct coordinate tuples over
-    /// the other modes.
-    pub fn num_fibers(&self, mode: usize) -> usize {
-        let mut keys: Vec<Vec<Idx>> = (0..self.nnz())
-            .map(|e| (0..self.order()).filter(|&m| m != mode).map(|m| self.inds[m][e]).collect())
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys.len()
-    }
-
     /// Non-zero counts per distinct mode-`m` fiber (a fiber fixes every
     /// index except mode `m`), in lexicographic fiber order — the raw
     /// material of the `maxFiberLength` imbalance features that drive the
-    /// load-balanced kernel arm. `counts.len() == num_fibers(mode)` and
-    /// `counts.iter().sum() == nnz`.
+    /// load-balanced kernel arm. `counts.len()` is the number of distinct
+    /// fibers and `counts.iter().sum() == nnz`.
     pub fn fiber_nnz_counts(&self, mode: usize) -> Vec<u32> {
         assert!(mode < self.order(), "mode out of range");
-        let mut keys: Vec<Vec<Idx>> = (0..self.nnz())
-            .map(|e| (0..self.order()).filter(|&m| m != mode).map(|m| self.inds[m][e]).collect())
-            .collect();
-        keys.sort_unstable();
-        let mut counts = Vec::new();
-        let mut run = 0u32;
-        for i in 0..keys.len() {
-            run += 1;
-            if i + 1 == keys.len() || keys[i + 1] != keys[i] {
-                counts.push(run);
-                run = 0;
+        let modes: Vec<usize> = (0..self.order()).filter(|&m| m != mode).collect();
+        match key_bits(&self.dims, &modes) {
+            Some(bits) => {
+                let mut keys = self.packed_keys(&modes);
+                radix_sort(&mut keys, 0, bits);
+                run_lengths(&keys, |a, b| a == b)
             }
+            None => run_lengths(&self.comparator_positions(&modes), |&a, &b| {
+                self.cmp_entries(&modes, a, b).is_eq()
+            }),
         }
-        counts
     }
 
     /// A random tensor with `nnz` distinct uniform coordinates and values in
@@ -328,6 +354,90 @@ impl CooTensor {
     pub(crate) fn randomize_values(&mut self, rng: &mut impl Rng) {
         for v in &mut self.vals {
             *v = rng.gen_range(0.0f32..1.0) + f32::EPSILON;
+        }
+    }
+}
+
+/// Widest digit of the LSD radix sort, in bits: the 2¹¹ counters of one
+/// pass stay in L1.
+const RADIX_BITS: u32 = 11;
+
+/// Significant bits of the packed key over `modes` (`⌈log₂ ∏ d⌉`), or
+/// `None` when the span `∏ d` does not fit a `u64` key.
+fn key_bits(dims: &[Idx], modes: &[usize]) -> Option<u32> {
+    let span = modes.iter().try_fold(1u64, |s, &m| s.checked_mul(u64::from(dims[m])))?;
+    Some(u64::BITS - (span - 1).leading_zeros())
+}
+
+/// Stable LSD radix sort of `keys` by their bits `lo..hi`; the bits below
+/// `lo` must already be in order and the bits from `hi` up must be zero.
+/// Only those significant bits are visited, in equal-width digits of at
+/// most [`RADIX_BITS`]. One read builds every digit's histogram, and a
+/// digit that all keys share skips its scatter.
+fn radix_sort(keys: &mut Vec<u64>, lo: u32, hi: u32) {
+    let passes = (hi - lo).div_ceil(RADIX_BITS);
+    if passes == 0 || keys.len() < 2 {
+        return;
+    }
+    let width = (hi - lo).div_ceil(passes);
+    let mask = (1usize << width) - 1;
+    let shifts: Vec<u32> = (0..passes).map(|p| lo + p * width).collect();
+    let mut counts = vec![0usize; shifts.len() << width];
+    for &k in keys.iter() {
+        for (p, &shift) in shifts.iter().enumerate() {
+            counts[(p << width) + ((k >> shift) as usize & mask)] += 1;
+        }
+    }
+    let mut scratch = vec![0; keys.len()];
+    for (hist, &shift) in counts.chunks_exact_mut(mask + 1).zip(&shifts) {
+        if hist.contains(&keys.len()) {
+            continue;
+        }
+        let mut start = 0;
+        for c in hist.iter_mut() {
+            (*c, start) = (start, start + *c);
+        }
+        for &k in keys.iter() {
+            let d = (k >> shift) as usize & mask;
+            scratch[hist[d]] = k;
+            hist[d] += 1;
+        }
+        std::mem::swap(keys, &mut scratch);
+    }
+}
+
+/// Lengths of the runs of equal neighbours in `sorted`.
+fn run_lengths<T>(sorted: &[T], same: impl FnMut(&T, &T) -> bool) -> Vec<u32> {
+    sorted.chunk_by(same).map(|run| run.len() as u32).collect()
+}
+
+/// A set of coordinates of one tensor shape — the generators' dedup set.
+/// It stores packed keys, falling back to whole coordinates for shapes
+/// whose span does not fit a `u64`.
+pub(crate) enum CoordSet {
+    Packed { dims: Vec<Idx>, keys: HashSet<u64> },
+    Wide(HashSet<Vec<Idx>>),
+}
+
+impl CoordSet {
+    pub(crate) fn with_capacity(dims: &[Idx], capacity: usize) -> Self {
+        let all: Vec<usize> = (0..dims.len()).collect();
+        match key_bits(dims, &all) {
+            Some(_) => Self::Packed { dims: dims.to_vec(), keys: HashSet::with_capacity(capacity) },
+            None => Self::Wide(HashSet::with_capacity(capacity)),
+        }
+    }
+
+    /// Adds `coord`, returning whether it was absent.
+    pub(crate) fn insert(&mut self, coord: &[Idx]) -> bool {
+        match self {
+            Self::Packed { dims, keys } => keys.insert(
+                coord
+                    .iter()
+                    .zip(dims.iter())
+                    .fold(0, |k, (&i, &d)| k * u64::from(d) + u64::from(i)),
+            ),
+            Self::Wide(set) => set.insert(coord.to_vec()),
         }
     }
 }
@@ -450,10 +560,10 @@ mod tests {
     fn fiber_count_matches_manual() {
         let t = small();
         // Mode-2 fibers fix (i, j): (2,1) appears twice, so 7 distinct.
-        assert_eq!(t.num_fibers(2), 7);
+        assert_eq!(t.fiber_nnz_counts(2).len(), 7);
         // Mode-1 fibers fix (i, k).
         // Pairs: (0,0),(0,1),(1,1),(1,0),(2,0),(2,1),(3,0),(3,1) -> 8 distinct.
-        assert_eq!(t.num_fibers(1), 8);
+        assert_eq!(t.fiber_nnz_counts(1).len(), 8);
     }
 
     #[test]
@@ -461,7 +571,6 @@ mod tests {
         let t = small();
         for mode in 0..3 {
             let counts = t.fiber_nnz_counts(mode);
-            assert_eq!(counts.len(), t.num_fibers(mode), "mode {mode} fiber count mismatch");
             assert_eq!(counts.iter().sum::<u32>() as usize, t.nnz());
             assert!(counts.iter().all(|&c| c > 0));
         }
@@ -481,6 +590,151 @@ mod tests {
         assert_eq!(total, 36.0);
         // Spot check X(1,3,0) == 4.0, flat = (1*4 + 3)*2 + 0
         assert_eq!(dense[(1 * 4 + 3) * 2], 4.0);
+    }
+
+    /// Oracle: entry positions stably sorted by coordinate over `modes`.
+    fn oracle_positions(t: &CooTensor, modes: &[usize]) -> Vec<usize> {
+        let coord =
+            |e: usize| -> Vec<Idx> { modes.iter().map(|&m| t.mode_indices(m)[e]).collect() };
+        let mut perm: Vec<usize> = (0..t.nnz()).collect();
+        perm.sort_by_key(|&e| coord(e));
+        perm
+    }
+
+    /// Oracle: fiber populations in lexicographic fiber order.
+    fn oracle_fiber_counts(t: &CooTensor, mode: usize) -> Vec<u32> {
+        let mut fibers = std::collections::BTreeMap::<Vec<Idx>, u32>::new();
+        for e in 0..t.nnz() {
+            let mut c = t.coord(e);
+            c.remove(mode);
+            *fibers.entry(c).or_default() += 1;
+        }
+        fibers.into_values().collect()
+    }
+
+    /// A seeded tensor whose coordinates repeat: each index is drawn from
+    /// `{0, 1, d − 1}` half the time, so duplicates and shared fibers are
+    /// common even on huge modes. Values number the entries.
+    fn with_duplicates(dims: &[Idx], nnz: usize, seed: u64) -> CooTensor {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut t = CooTensor::new(dims);
+        let mut coord = vec![0; dims.len()];
+        for e in 0..nnz {
+            for (c, &d) in coord.iter_mut().zip(dims) {
+                *c = match rng.gen_range(0..6u32) {
+                    0 => 0,
+                    1 => 1.min(d - 1),
+                    2 => d - 1,
+                    _ => rng.gen_range(0..d),
+                };
+            }
+            t.push(&coord, e as Val);
+        }
+        t
+    }
+
+    /// One shape per key path: orders 1–5 and a 50-bit span on the packed
+    /// key, and spans beyond 64 bits on the comparator fallback, for the
+    /// sort alone (`[2²⁰; 3]` once the position bits are added, `[2³⁰; 3]`
+    /// whose fiber keys take 60 bits) or for both.
+    fn property_shapes() -> Vec<Vec<Idx>> {
+        vec![
+            vec![7],
+            vec![1],
+            vec![5, 3],
+            vec![6, 1, 4],
+            vec![4, 5, 3, 2],
+            vec![3, 2, 4, 2, 3],
+            vec![70_000, 1 << 20, 9_000],
+            vec![1 << 20, 1 << 20, 1 << 20],
+            vec![1 << 30, 1 << 30, 1 << 30],
+            vec![Idx::MAX, Idx::MAX, Idx::MAX, Idx::MAX],
+            vec![1 << 30, 1 << 30, 1 << 30, 1 << 30, 1 << 30],
+            vec![Idx::MAX; 5],
+        ]
+    }
+
+    #[test]
+    fn key_width_follows_the_span() {
+        assert_eq!(key_bits(&[1], &[0]), Some(0));
+        assert_eq!(key_bits(&[4, 4, 2], &[0, 1, 2]), Some(5));
+        assert_eq!(key_bits(&[4, 4, 2], &[]), Some(0));
+        assert_eq!(key_bits(&[1 << 30, 1 << 30, 1 << 30], &[0, 2]), Some(60));
+        assert_eq!(key_bits(&[Idx::MAX; 2], &[0, 1]), Some(64));
+        assert_eq!(key_bits(&[1 << 30, 1 << 30, 1 << 30], &[0, 1, 2]), None);
+        assert_eq!(key_bits(&[1 << 30; 5], &[0, 1, 2, 3, 4]), None);
+    }
+
+    #[test]
+    fn packed_sort_matches_the_comparator_oracle() {
+        for (s, dims) in property_shapes().iter().enumerate() {
+            for seed in 0..4 {
+                let t = with_duplicates(dims, 300, 100 * s as u64 + seed);
+                for mode in 0..t.order() {
+                    let order = t.mode_order(mode);
+                    let perm = oracle_positions(&t, &order);
+                    let mut sorted = t.clone();
+                    sorted.sort_by_order(&order);
+                    assert!(sorted.is_sorted_by_order(&order), "{dims:?} mode {mode}");
+                    // Values number the entries, so this also checks that
+                    // ties keep their original position order.
+                    let expect: Vec<Val> = perm.iter().map(|&e| t.values()[e]).collect();
+                    assert_eq!(sorted.values(), expect, "{dims:?} mode {mode} seed {seed}");
+                    for m in 0..t.order() {
+                        let idx: Vec<Idx> = perm.iter().map(|&e| t.mode_indices(m)[e]).collect();
+                        assert_eq!(sorted.mode_indices(m), idx, "{dims:?} mode {mode}");
+                    }
+                }
+                // A non-`mode_order` ordering takes the same path.
+                let rev: Vec<usize> = (0..t.order()).rev().collect();
+                let mut sorted = t.clone();
+                sorted.sort_by_order(&rev);
+                let expect: Vec<Val> =
+                    oracle_positions(&t, &rev).iter().map(|&e| t.values()[e]).collect();
+                assert_eq!(sorted.values(), expect, "{dims:?} reversed order");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_fiber_counts_match_the_btreemap_oracle() {
+        for (s, dims) in property_shapes().iter().enumerate() {
+            for seed in 0..4 {
+                let t = with_duplicates(dims, 300, 100 * s as u64 + seed);
+                for mode in 0..t.order() {
+                    assert_eq!(
+                        t.fiber_nnz_counts(mode),
+                        oracle_fiber_counts(&t, mode),
+                        "{dims:?} mode {mode} seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_paths_handle_empty_tensors() {
+        for dims in property_shapes() {
+            let mut t = CooTensor::new(&dims);
+            assert!(t.fiber_nnz_counts(0).is_empty());
+            t.sort_for_mode(0);
+            assert_eq!(t.nnz(), 0);
+        }
+    }
+
+    #[test]
+    fn coord_set_matches_a_vec_set_on_both_paths() {
+        use std::collections::HashSet;
+        for (s, dims) in property_shapes().iter().enumerate() {
+            let t = with_duplicates(dims, 300, 7 + s as u64);
+            let mut packed = CoordSet::with_capacity(dims, 16);
+            let mut plain = HashSet::new();
+            for e in 0..t.nnz() {
+                let c = t.coord(e);
+                assert_eq!(packed.insert(&c), plain.insert(c.clone()), "{dims:?} entry {e}");
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! All generators are deterministic in their seed and deduplicate
 //! coordinates, so `nnz` is exact.
 
+use crate::coo::CoordSet;
 use crate::{CooTensor, Idx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 /// Maximum attempts per requested nnz before giving up on finding distinct
 /// coordinates (only reachable when `nnz` approaches the dense size).
@@ -32,7 +32,7 @@ fn checked_budget(dims: &[Idx], nnz: usize) {
 pub fn uniform(dims: &[Idx], nnz: usize, seed: u64) -> CooTensor {
     checked_budget(dims, nnz);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1_f4a6_0000_0001);
-    let mut seen = HashSet::with_capacity(nnz * 2);
+    let mut seen = CoordSet::with_capacity(dims, nnz * 2);
     let mut t = CooTensor::new(dims);
     let mut coord = vec![0 as Idx; dims.len()];
     let mut guard = 0usize;
@@ -40,7 +40,7 @@ pub fn uniform(dims: &[Idx], nnz: usize, seed: u64) -> CooTensor {
         for (c, &d) in coord.iter_mut().zip(dims) {
             *c = rng.gen_range(0..d);
         }
-        if seen.insert(coord.clone()) {
+        if seen.insert(&coord) {
             t.push(&coord, 0.0);
             guard = 0;
         } else {
@@ -103,7 +103,7 @@ pub fn zipf_slices(dims: &[Idx], nnz: usize, skew: f64, seed: u64) -> CooTensor 
     }
     let zipf = ZipfSampler::new(n0, skew);
 
-    let mut seen = HashSet::with_capacity(nnz * 2);
+    let mut seen = CoordSet::with_capacity(dims, nnz * 2);
     let mut t = CooTensor::new(dims);
     let mut coord = vec![0 as Idx; dims.len()];
     let mut guard = 0usize;
@@ -112,7 +112,7 @@ pub fn zipf_slices(dims: &[Idx], nnz: usize, skew: f64, seed: u64) -> CooTensor 
         for m in 1..dims.len() {
             coord[m] = rng.gen_range(0..dims[m]);
         }
-        if seen.insert(coord.clone()) {
+        if seen.insert(&coord) {
             t.push(&coord, 0.0);
             guard = 0;
         } else {
@@ -134,18 +134,13 @@ pub fn zipf_slices(dims: &[Idx], nnz: usize, skew: f64, seed: u64) -> CooTensor 
 /// the terminating fallback for generators whose primary distribution has
 /// saturated. `checked_budget` guarantees free cells exist; the expected
 /// number of draws is `cells / (cells - nnz)`.
-fn push_uniform_fallback(
-    t: &mut CooTensor,
-    seen: &mut HashSet<Vec<Idx>>,
-    dims: &[Idx],
-    rng: &mut impl Rng,
-) {
+fn push_uniform_fallback(t: &mut CooTensor, seen: &mut CoordSet, dims: &[Idx], rng: &mut impl Rng) {
     let mut coord = vec![0 as Idx; dims.len()];
     loop {
         for (c, &d) in coord.iter_mut().zip(dims) {
             *c = rng.gen_range(0..d);
         }
-        if seen.insert(coord.clone()) {
+        if seen.insert(&coord) {
             t.push(&coord, 0.0);
             return;
         }
@@ -170,7 +165,7 @@ pub fn blocked(
     let origins: Vec<Vec<Idx>> =
         (0..num_blocks).map(|_| dims.iter().map(|&d| rng.gen_range(0..d)).collect()).collect();
 
-    let mut seen = HashSet::with_capacity(nnz * 2);
+    let mut seen = CoordSet::with_capacity(dims, nnz * 2);
     let mut t = CooTensor::new(dims);
     let mut coord = vec![0 as Idx; dims.len()];
     let mut guard = 0usize;
@@ -180,7 +175,7 @@ pub fn blocked(
             let span = block_edge.min(d - o).max(1);
             coord[m] = o + rng.gen_range(0..span);
         }
-        if seen.insert(coord.clone()) {
+        if seen.insert(&coord) {
             t.push(&coord, 0.0);
             guard = 0;
         } else {
@@ -303,5 +298,49 @@ mod tests {
             zipf_slices(&[64, 64, 64], 300, 1.0, 9)
         );
         assert_eq!(blocked(&[64, 64, 64], 300, 4, 8, 9), blocked(&[64, 64, 64], 300, 4, 8, 9));
+    }
+
+    /// FNV-1a over a tensor's dims, indices (mode by mode) and value bits.
+    fn fnv(t: &CooTensor) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u32| {
+            for b in x.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for &d in t.dims() {
+            eat(d);
+        }
+        for m in 0..t.order() {
+            for &i in t.mode_indices(m) {
+                eat(i);
+            }
+        }
+        for v in t.values() {
+            eat(v.to_bits());
+        }
+        h
+    }
+
+    #[test]
+    fn generator_output_is_pinned() {
+        // Digests of the generators before their dedup set stored packed
+        // keys: the RNG draws and accept/reject decisions must not move.
+        // The cases cover packed keys, spans too wide to pack (90 and 150
+        // bits) and both saturating fallbacks.
+        let cases = [
+            ("uniform", uniform(&[50, 60, 70], 500, 3), 0x475e_776a_492c_0805),
+            ("uniform dense", uniform(&[4, 4], 16, 1), 0x2774_c508_f6a7_168f),
+            ("uniform 90-bit", uniform(&[1 << 30; 3], 300, 4), 0x1b4c_2398_b465_0b0a),
+            ("uniform 150-bit", uniform(&[1 << 30; 5], 300, 5), 0xe090_c6b6_943b_bd84),
+            ("zipf", zipf_slices(&[200, 100, 100], 2_000, 1.1, 17), 0x4207_2220_02bf_b985),
+            ("zipf fallback", zipf_slices(&[100, 4, 4], 1_000, 3.0, 5), 0x915b_35f5_64ad_ad73),
+            ("blocked", blocked(&[256, 256, 256], 2_000, 8, 16, 23), 0xabd3_82ff_e012_5be3),
+            ("blocked fallback", blocked(&[64, 64, 64], 2_000, 4, 4, 3), 0x70c1_e053_cd8e_d872),
+        ];
+        for (name, t, pin) in &cases {
+            assert_eq!(fnv(t), *pin, "{name}: {:#018x}", fnv(t));
+        }
     }
 }

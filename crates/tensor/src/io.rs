@@ -83,6 +83,13 @@ pub fn read_tns(reader: impl Read) -> Result<CooTensor, TnsError> {
             if one_based == 0 {
                 return Err(TnsError::Parse(lineno, "indices are 1-based; found 0".into()));
             }
+            // The mode size is the largest 1-based index, so it must fit `Idx`.
+            if one_based > u64::from(Idx::MAX) {
+                return Err(TnsError::Parse(
+                    lineno,
+                    format!("index {one_based} exceeds the largest mode size {}", Idx::MAX),
+                ));
+            }
             inds[m].push((one_based - 1) as Idx);
         }
         let v: Val = fields[n]
@@ -160,6 +167,21 @@ mod tests {
     fn rejects_zero_index() {
         let err = read_tns("0 1 2 1.0\n".as_bytes()).unwrap_err();
         assert!(matches!(err, TnsError::Parse(1, _)));
+    }
+
+    #[test]
+    fn rejects_indices_beyond_the_index_type() {
+        // 2³² would make the mode size overflow, and 2³² + 2 would wrap to
+        // coordinate 1 if it were truncated.
+        for line in ["4294967296 1 1.0\n", "1 1 1.0\n4294967298 1 1.0\n"] {
+            let lineno = line.lines().count();
+            let err = read_tns(line.as_bytes()).unwrap_err();
+            assert!(matches!(err, TnsError::Parse(l, _) if l == lineno), "{line:?}: {err}");
+        }
+        // The largest representable index still reads.
+        let t = read_tns("4294967295 1 1.0\n".as_bytes()).unwrap();
+        assert_eq!(t.dims(), &[Idx::MAX, 1]);
+        assert_eq!(t.coord(0), vec![Idx::MAX - 1, 0]);
     }
 
     #[test]

@@ -87,6 +87,9 @@ fn overload_stays_bounded_and_rejections_are_typed() {
             scalfrag::serve::RejectReason::RateLimited { .. } => {
                 panic!("no tenant rate limit configured, so no rate-limited rejections: {r}")
             }
+            scalfrag::serve::RejectReason::InvalidArrival { .. } => {
+                panic!("synthesized arrivals are valid, so none is rejected as such: {r}")
+            }
         }
         assert!(r.retry_after_s.is_finite() && r.retry_after_s > 0.0, "usable retry hint: {r}");
     }
